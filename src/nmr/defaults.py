@@ -17,7 +17,7 @@ independence is what makes ``align_check`` a meaningful cross-check of
 the two routes.
 
 Default theory files (``.dt``): ``#`` comments, an optional ``vocab:``
-header, fact lines (objective formulas), and default lines containing
+header (read as in ``.ael`` files), fact lines (objective formulas), and default lines containing
 ``/``, written ``PRE : J1, J2 / CONS`` with PRE omissible and the
 justification list possibly empty.  Modal operators are not allowed.
 """
@@ -36,11 +36,10 @@ from .syntax import (
     Knows,
     Not,
     Theory,
-    _strip_comment,
-    _VOCAB_HEADER_RE,
     atoms_of,
     objective,
     parse_formula,
+    theory_lines,
 )
 from .semantics import (
     EXPANSION,
@@ -130,22 +129,10 @@ def _parse_objective(text: str, line_no: int) -> Formula:
 
 def parse_default_theory(text: str) -> DefaultTheory:
     """Parse a ``.dt`` file; lines containing ``/`` are defaults, others facts."""
-    vocabulary: Vocabulary | None = None
+    vocabulary, lines = theory_lines(text)
     facts: list[Formula] = []
     defaults: list[Default] = []
-    saw_content = False
-    for line_no, raw in enumerate(text.split("\n"), start=1):
-        line = _strip_comment(raw)
-        if not line.strip():
-            continue
-        if not saw_content and _VOCAB_HEADER_RE.match(line):
-            saw_content = True
-            names = line.split(":", 1)[1].split()
-            if len(set(names)) != len(names):
-                raise ParseError("duplicate atom in vocab header", line_no, 1)
-            vocabulary = Vocabulary(tuple(names))
-            continue
-        saw_content = True
+    for line_no, line in lines:
         if "/" not in line:
             facts.append(_parse_objective(line, line_no))
             continue

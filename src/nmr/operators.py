@@ -7,7 +7,7 @@
   where it is true become certainly possible, the rest stay unknown.
   It agrees with ``moore_step`` on total states and is monotone in the
   precision order, which makes its iteration from the fully unknown
-  state converge to the least fixpoint (``kk_lfp``).
+  state converge to the least fixpoint (``kk_closure``, ``kk_lfp``).
 * ``stable_revision`` rebuilds the impossible worlds of a candidate
   belief state b while keeping b's ignorance pinned: starting from all
   worlds, it repeatedly deletes the worlds where the theory is false
@@ -21,14 +21,15 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 from .errors import InternalInvariantError
 from .syntax import Theory, only_negative
 from .truth import (
     DEFAULT_COMPLETION_CAP,
     TruthFunctionKind,
-    s5_theory_mask,
-    theory_status_masks,
+    compiled_theory,
+    sv_theory_masks,
 )
 from .worlds import BeliefState, PartialBeliefState, Vocabulary, bottom_p, leq_p
 
@@ -40,13 +41,22 @@ class OperatorContext:
     theory: Theory
     truth: TruthFunctionKind = TruthFunctionKind.KLEENE
     sv_cap: int = DEFAULT_COMPLETION_CAP
+    #: The theory's three-valued evaluator, fetched once here: every
+    #: lookup in the per-theory cache would rehash the whole formula tree.
+    kleene_masks: Callable[[int, int], tuple[int, int]] = field(
+        init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "kleene_masks", compiled_theory(self.theory))
 
     @property
     def vocabulary(self) -> Vocabulary:
         return self.theory.vocabulary
 
     def status_masks(self, pp_mask: int, cp_mask: int) -> tuple[int, int]:
-        return theory_status_masks(self.theory, pp_mask, cp_mask, self.truth, self.sv_cap)
+        if self.truth is TruthFunctionKind.KLEENE:
+            return self.kleene_masks(pp_mask, cp_mask)
+        return sv_theory_masks(self.theory, pp_mask, cp_mask, self.sv_cap)
 
 
 class NotStableSignal:
@@ -74,7 +84,7 @@ NOT_STABLE = NotStableSignal()
 def moore_step(ctx: OperatorContext, b: BeliefState) -> BeliefState:
     """All worlds satisfying the theory classically under b."""
     _check_vocab(ctx, b.vocabulary)
-    return BeliefState(b.vocabulary, s5_theory_mask(ctx.theory, b.mask))
+    return BeliefState(b.vocabulary, ctx.kleene_masks(b.mask, b.mask)[0])
 
 
 def approx_step(ctx: OperatorContext, pb: PartialBeliefState) -> PartialBeliefState:
@@ -85,22 +95,30 @@ def approx_step(ctx: OperatorContext, pb: PartialBeliefState) -> PartialBeliefSt
     return PartialBeliefState.of_masks(pb.vocabulary, full & ~f_mask, t_mask)
 
 
-def kk_lfp(ctx: OperatorContext) -> PartialBeliefState:
-    """Least fixpoint of ``approx_step`` in the precision order.
+def kk_closure(ctx: OperatorContext, pb: PartialBeliefState,
+               changes: list[tuple[int, int]] | None = None) -> PartialBeliefState:
+    """Least fixpoint of ``approx_step`` above pb in the precision order.
 
-    Iterates from the totally unknown state; each step may only add
-    determined worlds, so the chain is strictly increasing until the
-    fixpoint and converges within 2*|W| + 1 steps.
+    Each step may only add determined worlds, so the chain is strictly
+    increasing until the fixpoint and converges within 2*|W| + 1 steps.
+    If ``changes`` is given, every step appends its pair of world masks
+    (newly certainly impossible, newly certainly possible).
     """
-    pb = bottom_p(ctx.vocabulary)
     for _ in range(2 * ctx.vocabulary.world_count + 2):
         nxt = approx_step(ctx, pb)
         if not leq_p(pb, nxt):
             raise InternalInvariantError("approx_step chain is not precision-increasing")
         if nxt == pb:
             return pb
+        if changes is not None:
+            changes.append((pb.pp.mask & ~nxt.pp.mask, nxt.cp.mask & ~pb.cp.mask))
         pb = nxt
     raise InternalInvariantError("approx_step iteration failed to converge")
+
+
+def kk_lfp(ctx: OperatorContext) -> PartialBeliefState:
+    """The Kripke-Kleene state: the closure of the totally unknown state."""
+    return kk_closure(ctx, bottom_p(ctx.vocabulary))
 
 
 @dataclass

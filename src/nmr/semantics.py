@@ -16,25 +16,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InternalInvariantError, ResourceCapError
-from .syntax import (
-    BOTTOM,
-    TOP,
-    And,
-    Formula,
-    Iff,
-    Implies,
-    Knows,
-    Not,
-    Or,
-    collect_modal_subformulas,
-)
-from .truth import TruthFunctionKind, models
-from .worlds import BeliefState, PartialBeliefState, bottom_p, leq_p
+from .syntax import Knows, collect_modal_subformulas
+from .truth import TruthFunctionKind, formula_status_masks, guess_evaluator
+from .worlds import BeliefState, PartialBeliefState, bottom_p
 from .operators import (
     NOT_STABLE,
     OperatorContext,
     RevisionLog,
-    approx_step,
+    kk_closure,
+    kk_lfp,
     moore_step,
     stable_revision,
 )
@@ -107,21 +97,15 @@ class SemanticsResult:
 
 def _kk_closure(ctx: OperatorContext, pb: PartialBeliefState,
                 steps: list[TraceStep]) -> PartialBeliefState:
-    """Iterate approx_step to its fixpoint above pb, recording steps."""
-    for _ in range(2 * ctx.vocabulary.world_count + 2):
-        nxt = approx_step(ctx, pb)
-        if not leq_p(pb, nxt):
-            raise InternalInvariantError("approx_step chain is not precision-increasing")
-        if nxt == pb:
-            return pb
-        newly_false = pb.pp.mask & ~nxt.pp.mask
-        newly_true = nxt.cp.mask & ~pb.cp.mask
+    """``kk_closure`` above pb, appending its steps to the trace steps."""
+    changes: list[tuple[int, int]] = []
+    fix = kk_closure(ctx, pb, changes)
+    for newly_false, newly_true in changes:
         if newly_false:
             steps.append(TraceStep(STEP_KK, _indices(newly_false), "f"))
         if newly_true:
             steps.append(TraceStep(STEP_KK, _indices(newly_true), "t"))
-        pb = nxt
-    raise InternalInvariantError("approx_step iteration failed to converge")
+    return fix
 
 
 def kripke_kleene_extension(ctx: OperatorContext) -> SemanticsResult:
@@ -137,42 +121,59 @@ def kripke_kleene_extension(ctx: OperatorContext) -> SemanticsResult:
 # Expansions
 # ---------------------------------------------------------------------------
 
-def reduce_by_guess(f: Formula, guess: dict[Formula, bool]) -> Formula:
-    """Replace every K-subformula by the constant its guess assigns."""
-    if isinstance(f, Knows):
-        return TOP if guess[f.sub] else BOTTOM
-    if isinstance(f, Not):
-        return Not(reduce_by_guess(f.sub, guess))
-    if isinstance(f, And):
-        return And(reduce_by_guess(f.left, guess), reduce_by_guess(f.right, guess))
-    if isinstance(f, Or):
-        return Or(reduce_by_guess(f.left, guess), reduce_by_guess(f.right, guess))
-    if isinstance(f, Implies):
-        return Implies(reduce_by_guess(f.left, guess), reduce_by_guess(f.right, guess))
-    if isinstance(f, Iff):
-        return Iff(reduce_by_guess(f.left, guess), reduce_by_guess(f.right, guess))
-    return f
-
-
 def expansion_candidates(ctx: OperatorContext,
                          max_modal: int = DEFAULT_MODAL_CAP) -> list[BeliefState]:
-    """Model sets of all 2^m guess reducts, deduplicated, mask-ascending.
+    """Model sets of the K-guess reducts the Kripke-Kleene state allows,
+    deduplicated, mask-ascending.
 
-    Complete: any fixpoint of the one-step revision induces the guess
-    given by its own K values, under which the theory reduces to an
-    objective theory whose models are exactly that fixpoint.
+    A guess gives a truth value to every K x that lies outside any other
+    K; the reduct replaces each of those by its value, which leaves an
+    objective theory.  Only guesses that agree with the three-valued
+    (Kleene) Kripke-Kleene state kk are tried: a K x that kk makes true
+    or false is fixed to that value, the undecided ones are enumerated,
+    and a reduct whose models fall outside [kk.cp, kk.pp] is dropped.
+
+    Complete for expansions, and so for stable extensions (each stable
+    extension is an expansion, under either truth function: its stable
+    revision removes only worlds false under it, and evaluates its own
+    worlds to true).  Let E be an expansion.  The total state (E, E) is
+    a fixpoint of the Kleene revision, which agrees with the one-step
+    revision on total states, and kk is that revision's least fixpoint
+    in the precision order, so kk <=_p (E, E): cp <= E <= pp.  Kleene
+    evaluation is precision-monotone, so every K x that kk decides has
+    that same value under E.  The guess E induces therefore agrees with
+    the fixed values, and under it the theory reduces to an objective
+    theory whose models are exactly E.  Both the enumeration and the
+    interval filter keep E.  Sound in the weaker sense needed here: a
+    candidate is only a candidate, and the callers test each one.
     """
     subs = collect_modal_subformulas(ctx.theory)
     if len(subs) > max_modal:
         raise ResourceCapError(
             f"{len(subs)} distinct K-subformulas exceed the guess cap {max_modal}"
         )
+    vocab = ctx.vocabulary
+    kk = kk_lfp(ctx if ctx.truth is TruthFunctionKind.KLEENE else OperatorContext(ctx.theory))
+    lo, hi = kk.cp.mask, kk.pp.mask
+    reduct_models, read = guess_evaluator(ctx.theory, subs)
+    fixed = free = 0
+    for i, phi in enumerate(subs):
+        if read >> i & 1:
+            is_true, is_false = formula_status_masks(Knows(phi), hi, lo, vocab)
+            if is_true:
+                fixed |= 1 << i
+            elif not is_false:
+                free |= 1 << i
     masks: set[int] = set()
-    for bits in range(1 << len(subs)):
-        guess = {phi: bool(bits >> i & 1) for i, phi in enumerate(subs)}
-        reduct = [reduce_by_guess(f, guess) for f in ctx.theory.formulas]
-        masks.add(models(reduct, ctx.vocabulary).mask)
-    return [BeliefState(ctx.vocabulary, m) for m in sorted(masks)]
+    choice = 0
+    while True:  # every subset of the undecided guess bits, the empty one first
+        m = reduct_models(fixed | choice)
+        if lo & ~m == 0 and m & ~hi == 0:
+            masks.add(m)
+        choice = (choice - free) & free
+        if not choice:
+            break
+    return [BeliefState(vocab, m) for m in sorted(masks)]
 
 
 def expansions(ctx: OperatorContext, max_modal: int = DEFAULT_MODAL_CAP) -> SemanticsResult:
@@ -304,11 +305,11 @@ def validate_trace(ctx: OperatorContext, trace: DerivationTrace) -> None:
 
 
 def _indices(mask: int) -> tuple[int, ...]:
+    """Positions of the set bits, ascending, from one pass over the binary digits."""
+    digits = bin(mask)[:1:-1]
     out = []
-    i = 0
-    while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
+    i = digits.find("1")
+    while i >= 0:
+        out.append(i)
+        i = digits.find("1", i + 1)
     return tuple(out)

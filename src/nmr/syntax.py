@@ -309,17 +309,22 @@ def _strip_comment(line: str) -> str:
     return line if cut < 0 else line[:cut]
 
 
-def parse_theory(text: str) -> Theory:
-    """Parse an ``.ael`` theory file."""
+def theory_lines(text: str) -> tuple[Vocabulary | None, list[tuple[int, str]]]:
+    """Split a theory file (``.ael`` or ``.dt``) into its optional
+    ``vocab:`` header and its content lines.
+
+    Comments are stripped and blank lines dropped.  A ``vocab:`` line is
+    a header only as the first content line; its names must be distinct,
+    well-formed, non-reserved atoms.  Returns the declared vocabulary (or
+    None) and the remaining lines as (line number, text) pairs.
+    """
     vocabulary: Vocabulary | None = None
-    formulas: list[Formula] = []
-    saw_content = False
+    lines: list[tuple[int, str]] = []
     for line_no, raw in enumerate(text.split("\n"), start=1):
         line = _strip_comment(raw)
         if not line.strip():
             continue
-        if not saw_content and _VOCAB_HEADER_RE.match(line):
-            saw_content = True
+        if vocabulary is None and not lines and _VOCAB_HEADER_RE.match(line):
             names = line.split(":", 1)[1].split()
             for name in names:
                 if not _ATOM_RE.fullmatch(name) or name in _RESERVED:
@@ -329,8 +334,14 @@ def parse_theory(text: str) -> Theory:
                 raise ParseError("duplicate atom in vocab header", line_no, 1)
             vocabulary = Vocabulary(tuple(names))
             continue
-        saw_content = True
-        formulas.append(parse_formula(line, first_line=line_no))
+        lines.append((line_no, line))
+    return vocabulary, lines
+
+
+def parse_theory(text: str) -> Theory:
+    """Parse an ``.ael`` theory file."""
+    vocabulary, lines = theory_lines(text)
+    formulas = [parse_formula(line, first_line=line_no) for line_no, line in lines]
     try:
         return Theory.from_formulas(formulas, vocabulary)
     except ValueError as exc:

@@ -19,6 +19,10 @@ every total completion b with cp <= b <= pp and keeps only verdicts all
 completions agree on.  It is at least as precise as the three-valued
 evaluation and strictly more precise on case-split tautologies, at the
 cost of 2^u classical passes for u unknown worlds.
+
+``guess_evaluator`` serves the expansion candidates: it compiles the
+classical models of a theory once its outermost K-subformulas are
+replaced by the bits of a guess.
 """
 
 from __future__ import annotations
@@ -39,6 +43,7 @@ from .syntax import (
     Or,
     Theory,
     Top,
+    children,
     objective,
 )
 from .worlds import (
@@ -150,7 +155,9 @@ def _compiled_formula(f: Formula, vocabulary: Vocabulary):
 
 
 @lru_cache(maxsize=1024)
-def _compiled_theory(t: Theory):
+def compiled_theory(t: Theory):
+    """The closure (pp_mask, cp_mask) -> (true_mask, false_mask) of the
+    three-valued theory value, compiled once per theory."""
     parts = tuple(_compiled_formula(f, t.vocabulary) for f in t.formulas)
     full = t.vocabulary.full_mask
 
@@ -186,21 +193,7 @@ def formula_status_masks(f: Formula, pp_mask: int, cp_mask: int,
 def kleene_theory_masks(t: Theory, pp_mask: int, cp_mask: int) -> tuple[int, int]:
     """Three-valued theory value per world: false if a member is false,
     true if all members are true."""
-    return _compiled_theory(t)(pp_mask, cp_mask)
-
-
-def s5_theory_mask(t: Theory, b_mask: int) -> int:
-    """Worlds satisfying the whole theory classically, under belief state b."""
-    tm, _ = kleene_theory_masks(t, b_mask, b_mask)
-    return tm
-
-
-def _scatter(value: int, positions: list[int]) -> int:
-    mask = 0
-    for j, pos in enumerate(positions):
-        if value >> j & 1:
-            mask |= 1 << pos
-    return mask
+    return compiled_theory(t)(pp_mask, cp_mask)
 
 
 def sv_theory_masks(t: Theory, pp_mask: int, cp_mask: int,
@@ -222,25 +215,20 @@ def sv_theory_masks(t: Theory, pp_mask: int, cp_mask: int,
         raise ResourceCapError(
             f"supervaluation over {u} unknown worlds exceeds the completion cap {cap}"
         )
-    positions = [i for i in range(t.vocabulary.world_count) if unknown >> i & 1]
+    run = compiled_theory(t)
     true_acc = full
     false_acc = full
-    for value in range(1 << u):
-        b_mask = cp_mask | _scatter(value, positions)
-        sat = s5_theory_mask(t, b_mask)
+    part = 0
+    while True:  # every subset part of the unknown worlds, the empty one first
+        sat, _ = run(cp_mask | part, cp_mask | part)
         true_acc &= sat
         false_acc &= full & ~sat
         if not true_acc and not false_acc:
             break
+        part = (part - unknown) & unknown
+        if not part:
+            break
     return true_acc, false_acc
-
-
-def theory_status_masks(t: Theory, pp_mask: int, cp_mask: int,
-                        kind: TruthFunctionKind,
-                        sv_cap: int = DEFAULT_COMPLETION_CAP) -> tuple[int, int]:
-    if kind is TruthFunctionKind.KLEENE:
-        return kleene_theory_masks(t, pp_mask, cp_mask)
-    return sv_theory_masks(t, pp_mask, cp_mask, sv_cap)
 
 
 def models_mask(f: Formula, vocabulary: Vocabulary) -> int:
@@ -257,6 +245,77 @@ def models(formulas, vocabulary: Vocabulary) -> BeliefState:
     for f in formulas:
         mask &= models_mask(f, vocabulary)
     return BeliefState(vocabulary, mask)
+
+
+# ---------------------------------------------------------------------------
+# Evaluation under a K-guess
+# ---------------------------------------------------------------------------
+
+_GUESS_OPS = {
+    Not: lambda full, a: full & ~a,
+    And: lambda full, a, b: a & b,
+    Or: lambda full, a, b: a | b,
+    Implies: lambda full, a, b: (full & ~a) | b,
+    Iff: lambda full, a, b: full & ~(a ^ b),
+}
+
+
+def _compile_guess(f: Formula, vocabulary: Vocabulary, bit_of: dict[Formula, int],
+                   read: set[int]):
+    """Models of f once each K x outside any other K is replaced by bit
+    ``bit_of[x]`` of a guess: a constant mask when f reads no bit, else a
+    closure guess -> mask.  Adds the bits it reads to ``read``."""
+    full = vocabulary.full_mask
+    if isinstance(f, Atom):
+        return atom_worlds_mask(vocabulary.index(f.name), len(vocabulary))
+    if isinstance(f, Top):
+        return full
+    if isinstance(f, Bottom):
+        return 0
+    if isinstance(f, Knows):
+        i = bit_of[f.sub]
+        read.add(i)
+        return lambda g: full if g >> i & 1 else 0
+    op = _GUESS_OPS[type(f)]
+    parts = [_compile_guess(c, vocabulary, bit_of, read) for c in children(f)]
+    if all(isinstance(p, int) for p in parts):
+        return op(full, *parts)
+    fns = [p if callable(p) else (lambda g, p=p: p) for p in parts]
+    if len(fns) == 1:
+        (a,) = fns
+        return lambda g: op(full, a(g))
+    a, b = fns
+    return lambda g: op(full, a(g), b(g))
+
+
+@lru_cache(maxsize=1024)
+def guess_evaluator(t: Theory, guessed: tuple[Formula, ...]):
+    """Compile the K-guess reducts of t into one closure.
+
+    Returns ``(run, read)``: ``run(guess)`` is the mask of the models of
+    the objective theory obtained by replacing every K x that lies
+    outside any other K with bit i of ``guess``, where ``guessed[i] ==
+    x``; ``read`` is the mask of the guess bits that can matter.  A K
+    nested inside another one is never read.
+    """
+    bit_of = {x: i for i, x in enumerate(guessed)}
+    read: set[int] = set()
+    fixed = t.vocabulary.full_mask
+    parts = []
+    for f in t.formulas:
+        part = _compile_guess(f, t.vocabulary, bit_of, read)
+        if callable(part):
+            parts.append(part)
+        else:
+            fixed &= part
+
+    def run(guess: int) -> int:
+        mask = fixed
+        for part in parts:
+            mask &= part(guess)
+        return mask
+
+    return run, sum(1 << i for i in read)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import pytest
 
 import nmr.semantics
 from nmr.cli import SolveRequest, main, replay_trace_payload, run_check, run_solve
+from nmr.defaults import konolige, parse_default_theory
 from nmr.syntax import parse_theory
 from nmr.truth import TruthFunctionKind
 from nmr.worlds import BeliefState
@@ -116,9 +117,22 @@ def test_translate_nixon(corpus, capsys):
     assert out == ("vocab: R Q H D\nR & Q\n~(H & D)\n"
                    "K R & ~K ~H -> H\nK Q & ~K ~D -> D\n")
     # the translation re-parses to a structurally equal theory
-    from nmr.defaults import konolige, parse_default_theory
-
     assert parse_theory(out) == konolige(parse_default_theory((corpus / "nixon.dt").read_text()))
+
+
+def test_translate_output_reparses_to_the_translation(corpus, capsys):
+    for path in sorted(corpus.glob("*.dt")):
+        assert main(["translate", "--input", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert parse_theory(out) == konolige(parse_default_theory(path.read_text())), path.name
+
+
+def test_dt_vocab_header_rejects_reserved_names(tmp_path, capsys):
+    bad = tmp_path / "reserved.dt"
+    bad.write_text("vocab: K P\nP\n")
+    assert solve("--semantics", "reiter", "--input", str(bad)) == 1
+    assert "bad atom name 'K'" in capsys.readouterr().err
+    assert main(["translate", "--input", str(bad)]) == 1
 
 
 def test_translate_empty_theory_prints_nothing(corpus, capsys):

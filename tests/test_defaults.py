@@ -13,7 +13,7 @@ from nmr.defaults import (
     reiter_extensions,
 )
 from nmr.errors import ParseError, ResourceCapError
-from nmr.semantics import stable_extensions
+from nmr.semantics import expansion_candidates, stable_extensions
 from nmr.operators import OperatorContext
 from nmr.syntax import TOP, Atom, Knows, Not, Or, parse_formula, print_formula
 from nmr.truth import TruthValue3, entails, eval_kleene, models
@@ -208,3 +208,35 @@ def test_reiter_equals_stable_of_translation_randomly():
         direct = reiter_extensions(dt)
         translated = [r.pp for r in stable_extensions(OperatorContext(konolige(dt))).results]
         assert direct == translated
+
+
+def chain_theory(pairs: int, facts) -> DefaultTheory:
+    """a_i : b_i / b_i for i < pairs, with a_i a fact for each i in facts."""
+    lines = [f"a{i}" for i in facts] + [f"a{i} : b{i} / b{i}" for i in range(pairs)]
+    return parse_default_theory("\n".join(lines) + "\n")
+
+
+def nixon_theory(k: int) -> DefaultTheory:
+    """k Nixon diamonds sharing the facts r and q: 2^k extensions."""
+    lines = ["r & q"]
+    for i in range(k):
+        lines += [f"~(h{i} & d{i})", f"r : h{i} / h{i}", f"q : d{i} / d{i}"]
+    return parse_default_theory("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("pairs", range(1, 9))
+def test_chain_has_one_candidate_and_matches_direct_reiter(pairs):
+    # The Kripke-Kleene state decides every K-guess of a chain, so the
+    # one candidate left is its extension; 8 pairs make 16 atoms.
+    rng = random.Random(233 + pairs)
+    dt = chain_theory(pairs, sorted(rng.sample(range(pairs), pairs // 2)))
+    assert dl_semantics(dt, "reiter").belief_states() == reiter_extensions(dt)
+    assert len(expansion_candidates(OperatorContext(konolige(dt)))) == 1
+
+
+@pytest.mark.parametrize("k", range(1, 5))
+def test_nixon_diamonds_match_direct_reiter(k):
+    dt = nixon_theory(k)
+    direct = reiter_extensions(dt)
+    assert len(direct) == 2 ** k
+    assert dl_semantics(dt, "reiter").belief_states() == direct
