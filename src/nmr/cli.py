@@ -7,9 +7,11 @@ Three commands:
 * ``nmr check``     -- cross-check the fast solvers against the oracles
 
 Exit codes: 0 success (an empty result list is an answer), 1 parse or
-input error, 2 resource cap exceeded, 3 internal invariant violation,
-4 oracle disagreement from ``check``.  Output is deterministic:
-identical inputs produce byte-identical output.
+input error (including a file that is not UTF-8), 2 resource cap
+exceeded, a formula nested too deeply, or a usage error (argparse's
+own exit code, e.g. ``--semantics reiter`` on an ``.ael`` file),
+3 internal invariant violation, 4 oracle disagreement from ``check``.
+Output is deterministic: identical inputs produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -20,17 +22,24 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-from .defaults import DefaultTheory, align_check, dl_semantics, konolige, parse_default_theory
+from .defaults import (
+    DL_ALIASES,
+    DefaultTheory,
+    align_check,
+    dl_semantics,
+    konolige,
+    parse_default_theory,
+)
 from .errors import InternalInvariantError, NmrError, ParseError, ResourceCapError
 from .operators import OperatorContext
 from .oracle import OracleBudget, algebraic_wf, brute_expansions, brute_stable
 from .semantics import (
     KK,
+    SOLVERS,
     WF,
     DerivationTrace,
     SemanticsResult,
     expansions,
-    kripke_kleene_extension,
     stable_extensions,
     well_founded_extension,
 )
@@ -43,13 +52,6 @@ from .worlds import (
     Vocabulary,
     enumerate_worlds,
 )
-
-_AEL_DISPATCH = {
-    "kk": kripke_kleene_extension,
-    "expansion": expansions,
-    "stable": stable_extensions,
-    "wf": well_founded_extension,
-}
 
 _STATUS_WORDS = {"t": "certainly possible", "f": "certainly impossible"}
 
@@ -107,7 +109,7 @@ def _trace_json(trace: DerivationTrace) -> dict:
             {
                 "kind": step.kind,
                 "status": step.status,
-                "worlds": [BeliefState.of_indices(vocab, [i]).to_json()[0] for i in step.worlds],
+                "worlds": BeliefState(vocab, step.mask).to_json(),
             }
             for step in trace.steps
         ],
@@ -170,9 +172,7 @@ def _print_human(out, semantics: str, result: SemanticsResult, trace: bool) -> N
         for i, t in enumerate(result.traces, start=1):
             print(f"trace {i}: from {t.initial}", file=out)
             for step in t.steps:
-                worlds = ", ".join(
-                    str(w) for w in BeliefState.of_indices(t.initial.vocabulary, step.worlds).worlds()
-                )
+                worlds = ", ".join(map(str, BeliefState(t.initial.vocabulary, step.mask).worlds()))
                 print(f"  {step.kind}: {worlds} -> {_STATUS_WORDS[step.status]}", file=out)
 
 
@@ -188,8 +188,7 @@ def run_solve(req: SolveRequest, out=None) -> int:
         vocabulary = dt.vocabulary
     else:
         theory = _load_ael(req.input_path, req.max_atoms)
-        ctx = OperatorContext(theory, req.truth)
-        result = _AEL_DISPATCH[req.semantics](ctx)
+        result = SOLVERS[req.semantics](OperatorContext(theory, req.truth))
         vocabulary = theory.vocabulary
     if req.json_out:
         payload = solve_payload(vocabulary, req.logic, req.semantics, result, req.trace)
@@ -290,8 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve = sub.add_parser("solve", help="compute a semantics of a theory file")
     solve.add_argument("--logic", choices=["ael", "dl"],
                        help="input logic; default inferred from the file suffix")
-    solve.add_argument("--semantics", required=True,
-                       choices=["kk", "expansion", "stable", "wf", "reiter", "weak"])
+    solve.add_argument("--semantics", required=True, choices=[*SOLVERS, *DL_ALIASES])
     solve.add_argument("--truth", choices=["kleene", "sv"], default="kleene")
     solve.add_argument("--input", required=True, type=Path)
     solve.add_argument("--json", action="store_true", dest="json_out")
@@ -315,7 +313,7 @@ def main(argv=None) -> int:
     try:
         if args.command == "solve":
             logic = args.logic or _infer_logic(args.input)
-            if args.semantics in ("reiter", "weak") and logic != "dl":
+            if args.semantics in DL_ALIASES and logic != "dl":
                 parser.error(f"--semantics {args.semantics} requires default-logic input")
             req = SolveRequest(
                 logic=logic,
@@ -334,11 +332,14 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 1
     except ResourceCapError as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        print("resource cap: formula nested too deeply", file=sys.stderr)
         return 2
     except InternalInvariantError as exc:
         print(f"internal error: {exc}", file=sys.stderr)

@@ -41,17 +41,7 @@ from .syntax import (
     parse_formula,
     theory_lines,
 )
-from .semantics import (
-    EXPANSION,
-    KK,
-    STABLE,
-    WF,
-    SemanticsResult,
-    expansions,
-    kripke_kleene_extension,
-    stable_extensions,
-    well_founded_extension,
-)
+from .semantics import EXPANSION, SOLVERS, STABLE, SemanticsResult
 from .truth import TruthFunctionKind, models_mask
 from .operators import OperatorContext
 from .worlds import BeliefState, Vocabulary
@@ -59,16 +49,9 @@ from .worlds import BeliefState, Vocabulary
 #: 2^|defaults| candidate subsets are enumerated; cap the exponent.
 DEFAULT_SUBSET_CAP = 20
 
-#: Semantics names accepted by ``dl_semantics``; values are the
-#: corresponding semantics of the translated modal theory.
-DL_KINDS = {
-    "kk": KK,
-    "weak": EXPANSION,
-    "expansion": EXPANSION,
-    "reiter": STABLE,
-    "stable": STABLE,
-    "wf": WF,
-}
+#: Default-logic names for semantics of the translated modal theory;
+#: ``dl_semantics`` also accepts every name in ``semantics.SOLVERS``.
+DL_ALIASES = {"reiter": STABLE, "weak": EXPANSION}
 
 
 @dataclass(frozen=True, slots=True)
@@ -244,17 +227,10 @@ def dl_semantics(dt: DefaultTheory, kind: str,
     ``reiter`` extensions its stable extensions; ``kk`` and ``wf`` map
     to themselves.
     """
-    if kind not in DL_KINDS:
+    target = DL_ALIASES.get(kind, kind)
+    if target not in SOLVERS:
         raise ValueError(f"unknown default-logic semantics {kind!r}")
-    ctx = OperatorContext(konolige(dt), truth)
-    target = DL_KINDS[kind]
-    if target == KK:
-        return kripke_kleene_extension(ctx)
-    if target == EXPANSION:
-        return expansions(ctx)
-    if target == STABLE:
-        return stable_extensions(ctx)
-    return well_founded_extension(ctx)
+    return SOLVERS[target](OperatorContext(konolige(dt), truth))
 
 
 @dataclass(frozen=True, slots=True)

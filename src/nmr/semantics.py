@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from .errors import InternalInvariantError, ResourceCapError
 from .syntax import Knows, collect_modal_subformulas
 from .truth import TruthFunctionKind, formula_status_masks, guess_evaluator
-from .worlds import BeliefState, PartialBeliefState, bottom_p
+from .worlds import BeliefState, PartialBeliefState, bottom_p, set_bits
 from .operators import (
     NOT_STABLE,
     OperatorContext,
@@ -46,16 +46,14 @@ STEP_STABLE_REMOVAL = "stable-removal"
 class TraceStep:
     """A batch of worlds settled in one derivation step."""
 
-    kind: str                 # STEP_KK | STEP_MI | STEP_STABLE_REMOVAL
-    worlds: tuple[int, ...]   # canonical world indices
-    status: str               # "t" or "f"
+    kind: str     # STEP_KK | STEP_MI | STEP_STABLE_REMOVAL
+    mask: int     # the settled worlds, as a world mask
+    status: str   # "t" or "f"
 
     @property
-    def mask(self) -> int:
-        m = 0
-        for i in self.worlds:
-            m |= 1 << i
-        return m
+    def worlds(self) -> tuple[int, ...]:
+        """Canonical indices of the settled worlds, ascending."""
+        return tuple(set_bits(self.mask))
 
 
 @dataclass(frozen=True, slots=True)
@@ -102,9 +100,9 @@ def _kk_closure(ctx: OperatorContext, pb: PartialBeliefState,
     fix = kk_closure(ctx, pb, changes)
     for newly_false, newly_true in changes:
         if newly_false:
-            steps.append(TraceStep(STEP_KK, _indices(newly_false), "f"))
+            steps.append(TraceStep(STEP_KK, newly_false, "f"))
         if newly_true:
-            steps.append(TraceStep(STEP_KK, _indices(newly_true), "t"))
+            steps.append(TraceStep(STEP_KK, newly_true, "t"))
     return fix
 
 
@@ -199,7 +197,7 @@ def stable_extensions(ctx: OperatorContext, max_modal: int = DEFAULT_MODAL_CAP) 
         outcome = stable_revision(ctx, b, log)
         if outcome is NOT_STABLE or outcome != b:
             continue
-        steps = tuple(TraceStep(STEP_STABLE_REMOVAL, _indices(m), "f") for m in log.removals)
+        steps = tuple(TraceStep(STEP_STABLE_REMOVAL, m, "f") for m in log.removals)
         results.append(PartialBeliefState.total(b))
         traces.append(DerivationTrace(PartialBeliefState(full, b), steps,
                                       PartialBeliefState.total(b)))
@@ -249,12 +247,21 @@ def well_founded_extension(ctx: OperatorContext) -> SemanticsResult:
         u = greatest_unfounded_set(ctx, pb)
         if not u:
             break
-        steps.append(TraceStep(STEP_MI, _indices(u), "t"))
+        steps.append(TraceStep(STEP_MI, u, "t"))
         pb = pb.with_certainly_possible(u)
     else:
         raise InternalInvariantError("well-founded iteration failed to converge")
     trace = DerivationTrace(start, tuple(steps), pb)
     return SemanticsResult(WF, ctx.truth, (pb,), (trace,))
+
+
+#: The solver of each semantics, by name.
+SOLVERS = {
+    KK: kripke_kleene_extension,
+    EXPANSION: expansions,
+    STABLE: stable_extensions,
+    WF: well_founded_extension,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -302,14 +309,3 @@ def validate_trace(ctx: OperatorContext, trace: DerivationTrace) -> None:
             raise InternalInvariantError(f"unknown trace step kind {step.kind!r}")
     if states[-1] != trace.final:
         raise InternalInvariantError("trace replay does not reproduce the final state")
-
-
-def _indices(mask: int) -> tuple[int, ...]:
-    """Positions of the set bits, ascending, from one pass over the binary digits."""
-    digits = bin(mask)[:1:-1]
-    out = []
-    i = digits.find("1")
-    while i >= 0:
-        out.append(i)
-        i = digits.find("1", i + 1)
-    return tuple(out)

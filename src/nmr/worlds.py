@@ -82,6 +82,16 @@ def atom_worlds_mask(k: int, n: int) -> int:
     return mask
 
 
+def set_bits(mask: int) -> Iterator[int]:
+    """Positions of the set bits of a non-negative mask, ascending, from
+    one pass over its binary digits."""
+    digits = bin(mask)[:1:-1]
+    i = digits.find("1")
+    while i >= 0:
+        yield i
+        i = digits.find("1", i + 1)
+
+
 @dataclass(frozen=True, slots=True)
 class World:
     """One interpretation of the vocabulary, named by its canonical index."""
@@ -158,9 +168,7 @@ class BeliefState:
         return bool(self.mask >> world.index & 1)
 
     def indices(self) -> Iterator[int]:
-        for i in range(self.vocabulary.world_count):
-            if self.mask >> i & 1:
-                yield i
+        return set_bits(self.mask)
 
     def worlds(self) -> Iterator[World]:
         for i in self.indices():

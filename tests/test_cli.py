@@ -103,6 +103,15 @@ def test_trace_replay_reconstructs_results(corpus, capsys):
             assert [f["pp"] for f in finals] == [r["pp"] for r in payload["results"]]
 
 
+def test_large_trace_replay_reconstructs_results(tmp_path, capsys):
+    # 2^12 worlds, settled by two trace steps of 2048 worlds each.
+    path = tmp_path / "wide.ael"
+    path.write_text("vocab: " + " ".join(f"A{k}" for k in range(12)) + "\nK A0 -> A1\n")
+    assert solve("--semantics", "wf", "--input", str(path), "--json", "--trace") == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert replay_trace_payload(payload) == payload["results"]
+
+
 def test_trace_human_output(corpus, capsys):
     assert solve("--semantics", "wf", "--input", str(corpus / "truthsayer.ael"), "--trace") == 0
     out = capsys.readouterr().out
@@ -156,6 +165,44 @@ def test_exit_code_missing_file(tmp_path, capsys):
     assert solve("--semantics", "kk", "--input", str(tmp_path / "nope.ael")) == 1
 
 
+@pytest.mark.parametrize("command, suffix", [
+    (["solve", "--semantics", "kk"], ".ael"),
+    (["translate"], ".dt"),
+    (["check"], ".ael"),
+])
+def test_exit_code_input_not_utf8(tmp_path, capsys, command, suffix):
+    bad = tmp_path / f"bad{suffix}"
+    bad.write_bytes(b"vocab: P\n\xff\n")
+    assert main([*command, "--input", str(bad)]) == 1
+    assert capsys.readouterr().err.startswith("input error: ")
+
+
+_JUSTIFIED_1200 = ": " + ", ".join(["P"] * 1200) + " / P"
+
+
+@pytest.mark.parametrize("command, suffix, formula", [
+    pytest.param(["solve", "--semantics", "kk"], ".ael", "~" * 3000 + "P", id="not"),
+    pytest.param(["solve", "--semantics", "kk"], ".ael", "(" * 3000 + "P" + ")" * 3000, id="parens"),
+    pytest.param(["solve", "--semantics", "kk"], ".ael", "K " * 3000 + "P", id="knows"),
+    pytest.param(["solve", "--semantics", "kk"], ".ael", " & ".join(["P"] * 3000), id="and"),
+    pytest.param(["solve", "--semantics", "kk"], ".ael", " -> ".join(["P"] * 3000), id="implies"),
+    pytest.param(["solve", "--semantics", "reiter"], ".dt", _JUSTIFIED_1200, id="dt-solve"),
+    pytest.param(["translate"], ".dt", _JUSTIFIED_1200, id="dt-translate"),
+])
+def test_exit_code_formula_nested_too_deeply(tmp_path, capsys, command, suffix, formula):
+    deep = tmp_path / f"deep{suffix}"
+    deep.write_text(f"vocab: P\n{formula}\n")
+    assert main([*command, "--input", str(deep)]) == 2
+    assert capsys.readouterr().err == "resource cap: formula nested too deeply\n"
+
+
+def test_long_flat_conjunction_still_solves(tmp_path, capsys):
+    wide = tmp_path / "wide.ael"
+    wide.write_text("vocab: P\n" + " & ".join(["P"] * 400) + "\n")
+    assert solve("--semantics", "kk", "--input", str(wide)) == 0
+    assert capsys.readouterr().out == "vocabulary: P\nkk: TOTAL {{P}}\n"
+
+
 def test_exit_code_resource_cap(corpus, capsys):
     rc = solve("--semantics", "kk", "--input", str(corpus / "iff_knowledge.ael"),
                "--max-atoms", "1")
@@ -190,12 +237,11 @@ def test_check_sv_skips_algebraic_comparison(corpus):
 
 def test_exit_code_internal_invariant_violation(corpus, monkeypatch, capsys):
     from nmr.errors import InternalInvariantError
-    import nmr.cli
 
     def boom(ctx):
         raise InternalInvariantError("injected")
 
-    monkeypatch.setitem(nmr.cli._AEL_DISPATCH, "kk", boom)
+    monkeypatch.setitem(nmr.semantics.SOLVERS, "kk", boom)
     assert solve("--semantics", "kk", "--input", str(corpus / "truthsayer.ael")) == 3
     assert "internal error" in capsys.readouterr().err
 

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from nmr.defaults import konolige, parse_default_theory
 from nmr.errors import ResourceCapError
 from nmr.operators import OperatorContext, kk_lfp, klfp_moore
 from nmr.semantics import (
@@ -17,7 +18,7 @@ from nmr.semantics import (
 )
 from nmr.syntax import parse_theory
 from nmr.truth import TruthFunctionKind
-from nmr.worlds import Vocabulary, bottom_p, leq_p
+from nmr.worlds import Vocabulary, bottom_p, leq_p, set_bits
 
 from helpers import bstate, pstate, rand_only_negative_theory, rand_theory
 
@@ -227,6 +228,19 @@ def test_trace_replay_and_validation_on_fixtures():
                 assert [t.final.pp for t in res.traces] == [r.pp for r in res.results]
             elif res.traces:
                 assert res.traces[0].final == res.results[0]
+
+
+def test_trace_step_worlds_are_the_set_bits_of_its_mask(corpus):
+    for path in sorted(corpus.iterdir()):
+        text = path.read_text(encoding="utf-8")
+        theory = konolige(parse_default_theory(text)) if path.suffix == ".dt" else parse_theory(text)
+        ctx = OperatorContext(theory)
+        n = theory.vocabulary.world_count
+        for solver in (kripke_kleene_extension, well_founded_extension, stable_extensions):
+            for trace in solver(ctx).traces:
+                for step in trace.steps:
+                    assert step.worlds == tuple(set_bits(step.mask))
+                    assert step.worlds == tuple(i for i in range(n) if step.mask >> i & 1)
 
 
 def test_trace_replay_random_theories():

@@ -34,6 +34,15 @@ def test_enumerate_worlds_empty_vocabulary():
     assert len(full) == 1 and full.mask == 1
 
 
+def test_indices_are_the_set_bits_in_ascending_order():
+    rng = random.Random(83)
+    for n in range(11):
+        vocab = Vocabulary(tuple(f"A{k}" for k in range(n)))
+        for mask in (0, vocab.full_mask, *(rng.randrange(vocab.full_mask + 1) for _ in range(20))):
+            brute = [i for i in range(vocab.world_count) if mask >> i & 1]
+            assert list(BeliefState(vocab, mask).indices()) == brute
+
+
 def test_enumerate_worlds_cap():
     with pytest.raises(ResourceCapError):
         enumerate_worlds(VPQ, cap=1)
