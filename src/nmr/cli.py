@@ -43,13 +43,14 @@ from .semantics import (
     stable_extensions,
     well_founded_extension,
 )
-from .syntax import Atom, Not, Theory, parse_theory, print_theory
-from .truth import TruthFunctionKind, entails
+from .syntax import Theory, parse_theory, print_theory
+from .truth import TruthFunctionKind
 from .worlds import (
     DEFAULT_ATOM_CAP,
     BeliefState,
     PartialBeliefState,
     Vocabulary,
+    atom_worlds_mask,
     enumerate_worlds,
 )
 
@@ -93,10 +94,12 @@ def _load_dt(path: Path, max_atoms: int) -> DefaultTheory:
 
 def _literal_consequences(b: BeliefState) -> list[str]:
     out = []
-    for name in b.vocabulary.atoms:
-        if entails(b, Atom(name)):
+    n = len(b.vocabulary)
+    for k, name in enumerate(b.vocabulary.atoms):
+        m = atom_worlds_mask(k, n)
+        if b.mask & ~m == 0:
             out.append(name)
-        elif entails(b, Not(Atom(name))):
+        elif b.mask & m == 0:
             out.append("~" + name)
     return out
 

@@ -25,6 +25,7 @@ justification list possibly empty.  Modal operators are not allowed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator
 
 from .errors import ParseError, ResourceCapError
@@ -157,6 +158,22 @@ def konolige(dt: DefaultTheory) -> Theory:
     return Theory(dt.vocabulary, tuple(out))
 
 
+@lru_cache(maxsize=256)
+def _theory_masks(dt: DefaultTheory) -> tuple[int, tuple, tuple, tuple]:
+    """Model masks of the facts (conjoined), and per default of the
+    prerequisite, the justifications and the consequent."""
+    vocab = dt.vocabulary
+    facts = vocab.full_mask
+    for f in dt.facts:
+        facts &= models_mask(f, vocab)
+    return (
+        facts,
+        tuple(models_mask(d.prerequisite, vocab) for d in dt.defaults),
+        tuple(tuple(models_mask(j, vocab) for j in d.justifications) for d in dt.defaults),
+        tuple(models_mask(d.consequent, vocab) for d in dt.defaults),
+    )
+
+
 def gamma_operator(dt: DefaultTheory, e: BeliefState) -> BeliefState:
     """Consequence closure of the facts under the defaults active w.r.t. e.
 
@@ -165,23 +182,16 @@ def gamma_operator(dt: DefaultTheory, e: BeliefState) -> BeliefState:
     applying it intersects the state with the consequent's models.
     Iterated to a fixpoint (consequents can enable prerequisites).
     """
-    vocab = dt.vocabulary
-    prereq = [models_mask(d.prerequisite, vocab) for d in dt.defaults]
-    justs = [[models_mask(j, vocab) for j in d.justifications] for d in dt.defaults]
-    cons = [models_mask(d.consequent, vocab) for d in dt.defaults]
-
-    b = vocab.full_mask
-    for f in dt.facts:
-        b &= models_mask(f, vocab)
+    b, prereqs, justs, conss = _theory_masks(dt)
     while True:
         nxt = b
-        for i in range(len(dt.defaults)):
-            if nxt & ~prereq[i]:
+        for prereq, just, cons in zip(prereqs, justs, conss):
+            if nxt & ~prereq:
                 continue
-            if all(e.mask & jm for jm in justs[i]):
-                nxt &= cons[i]
+            if all(e.mask & jm for jm in just):
+                nxt &= cons
         if nxt == b:
-            return BeliefState(vocab, b)
+            return BeliefState(dt.vocabulary, b)
         b = nxt
 
 
@@ -198,10 +208,7 @@ def reiter_extensions(dt: DefaultTheory, max_defaults: int = DEFAULT_SUBSET_CAP)
             f"{len(dt.defaults)} defaults exceed the subset-enumeration cap {max_defaults}"
         )
     vocab = dt.vocabulary
-    facts_mask = vocab.full_mask
-    for f in dt.facts:
-        facts_mask &= models_mask(f, vocab)
-    cons = [models_mask(d.consequent, vocab) for d in dt.defaults]
+    facts_mask, _, _, cons = _theory_masks(dt)
 
     candidates: set[int] = set()
     for bits in range(1 << len(dt.defaults)):
@@ -240,23 +247,12 @@ class AlignReport:
     aligned: bool
     reiter: tuple[BeliefState, ...]
     stable: tuple[BeliefState, ...]
-    kk: SemanticsResult
-    wf: SemanticsResult
-    weak: SemanticsResult
 
 
 def align_check(dt: DefaultTheory,
                 truth: TruthFunctionKind = TruthFunctionKind.KLEENE) -> AlignReport:
     """Compare direct Reiter extensions with stable extensions of the
-    translation (they must be equal), and report the other semantics
-    of the translation for inspection."""
+    translation (they must be equal)."""
     reiter = tuple(reiter_extensions(dt))
     stable = tuple(dl_semantics(dt, "reiter", truth).belief_states())
-    return AlignReport(
-        aligned=reiter == stable,
-        reiter=reiter,
-        stable=stable,
-        kk=dl_semantics(dt, "kk", truth),
-        wf=dl_semantics(dt, "wf", truth),
-        weak=dl_semantics(dt, "weak", truth),
-    )
+    return AlignReport(aligned=reiter == stable, reiter=reiter, stable=stable)

@@ -26,7 +26,6 @@ from typing import Callable
 from .errors import InternalInvariantError
 from .syntax import Theory, only_negative
 from .truth import (
-    DEFAULT_COMPLETION_CAP,
     TruthFunctionKind,
     compiled_theory,
     sv_theory_masks,
@@ -40,7 +39,6 @@ class OperatorContext:
 
     theory: Theory
     truth: TruthFunctionKind = TruthFunctionKind.KLEENE
-    sv_cap: int = DEFAULT_COMPLETION_CAP
     #: The theory's three-valued evaluator, fetched once here: every
     #: lookup in the per-theory cache would rehash the whole formula tree.
     kleene_masks: Callable[[int, int], tuple[int, int]] = field(
@@ -56,7 +54,7 @@ class OperatorContext:
     def status_masks(self, pp_mask: int, cp_mask: int) -> tuple[int, int]:
         if self.truth is TruthFunctionKind.KLEENE:
             return self.kleene_masks(pp_mask, cp_mask)
-        return sv_theory_masks(self.theory, pp_mask, cp_mask, self.sv_cap)
+        return sv_theory_masks(self.theory, pp_mask, cp_mask)
 
 
 class NotStableSignal:

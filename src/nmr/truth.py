@@ -1,10 +1,14 @@
 """Two-valued, three-valued, and supervaluation truth functions.
 
-Everything funnels through one vectorized evaluator that computes, for a
-formula and a pair of world masks (pp, cp), the mask of worlds where the
-formula is true and the mask where it is false (unknown = neither).
-Propositional connectives follow the strong three-valued tables.  The
-epistemic operator is world-independent:
+Everything funnels through one formula compiler.  It folds every
+subtree whose value does not depend on the epistemic operator into a
+constant pair of masks (worlds where it is true, worlds where it is
+false) and turns the rest into a closure (x, y) -> (true_mask,
+false_mask).  Propositional connectives follow the strong three-valued
+tables.  What ``K x`` means is a rule the caller supplies.
+
+The evaluator's rule reads x and y as a pair of world masks (pp, cp),
+and ``K x`` is world-independent:
 
 * ``K x`` is false when some certainly possible world falsifies x,
 * true when every potentially possible world satisfies x,
@@ -20,9 +24,9 @@ completions agree on.  It is at least as precise as the three-valued
 evaluation and strictly more precise on case-split tautologies, at the
 cost of 2^u classical passes for u unknown worlds.
 
-``guess_evaluator`` serves the expansion candidates: it compiles the
-classical models of a theory once its outermost K-subformulas are
-replaced by the bits of a guess.
+``guess_evaluator`` serves the expansion candidates with a second rule:
+each K x outside any other K reads one bit of a guess, so the same
+compiler yields the classical models of every K-guess reduct.
 """
 
 from __future__ import annotations
@@ -43,7 +47,6 @@ from .syntax import (
     Or,
     Theory,
     Top,
-    children,
     objective,
 )
 from .worlds import (
@@ -85,92 +88,127 @@ class TruthFunctionKind(Enum):
 # Mask-level evaluation
 # ---------------------------------------------------------------------------
 
-def _compile(f: Formula, vocabulary: Vocabulary):
-    """Specialize a formula to a closure (pp_mask, cp_mask) -> (t, f);
-    the fixpoint loops re-evaluate the same formulas thousands of times."""
+def _connective(kind: type, a, b=None):
+    """The closure (x, y) -> (t, f) of a connective over its operands'
+    closures, by the strong three-valued tables."""
+    if kind is Not:
+        def ev_not(x, y):
+            t, fm = a(x, y)
+            return fm, t
+        return ev_not
+    if kind is And:
+        def ev_and(x, y):
+            t1, f1 = a(x, y)
+            t2, f2 = b(x, y)
+            return t1 & t2, f1 | f2
+        return ev_and
+    if kind is Or:
+        def ev_or(x, y):
+            t1, f1 = a(x, y)
+            t2, f2 = b(x, y)
+            return t1 | t2, f1 & f2
+        return ev_or
+    if kind is Implies:
+        def ev_implies(x, y):
+            t1, f1 = a(x, y)
+            t2, f2 = b(x, y)
+            return f1 | t2, t1 & f2
+        return ev_implies
+    if kind is Iff:
+        def ev_iff(x, y):
+            t1, f1 = a(x, y)
+            t2, f2 = b(x, y)
+            return (t1 & t2) | (f1 & f2), (t1 & f2) | (f1 & t2)
+        return ev_iff
+    raise TypeError(f"not a connective: {kind!r}")
+
+
+def _closure(part):
+    """A compiled part as a closure, a constant pair lifted to one."""
+    return part if callable(part) else lambda x, y: part
+
+
+def _compile(f: Formula, vocabulary: Vocabulary, knows):
+    """Specialize a formula to its (true_mask, false_mask) pair when the
+    ``K`` rule cannot change it, else to a closure (x, y) -> (t, f).
+
+    ``knows(x)`` compiles ``K x``; whether and how it compiles x is up
+    to the rule.  The fixpoint loops re-evaluate the same formulas
+    thousands of times, so every K-free subtree is evaluated here once.
+    """
     full = vocabulary.full_mask
     if isinstance(f, Atom):
         t = atom_worlds_mask(vocabulary.index(f.name), len(vocabulary))
-        fm = full & ~t
-        return lambda pp, cp: (t, fm)
+        return t, full & ~t
     if isinstance(f, Top):
-        return lambda pp, cp: (full, 0)
+        return full, 0
     if isinstance(f, Bottom):
-        return lambda pp, cp: (0, full)
-    if isinstance(f, Not):
-        sub = _compile(f.sub, vocabulary)
-
-        def ev_not(pp, cp):
-            t, fm = sub(pp, cp)
-            return fm, t
-
-        return ev_not
+        return 0, full
     if isinstance(f, Knows):
-        sub = _compile(f.sub, vocabulary)
+        return knows(f.sub)
+    if isinstance(f, Not):
+        parts = (_compile(f.sub, vocabulary, knows),)
+    else:
+        parts = (_compile(f.left, vocabulary, knows), _compile(f.right, vocabulary, knows))
+    ev = _connective(type(f), *map(_closure, parts))
+    return ev if any(map(callable, parts)) else ev(0, 0)
+
+
+def _three_valued_knows(vocabulary: Vocabulary):
+    """The K rule of the evaluator, x and y being the (pp, cp) masks:
+    K x is true when every pp world satisfies x, false when some cp
+    world falsifies it."""
+    full = vocabulary.full_mask
+
+    def knows(sub: Formula):
+        part = _compile(sub, vocabulary, knows)
+        if not callable(part):  # an objective x: K x reads only its models
+            t, fm = part
+            return lambda pp, cp: (full if pp & ~t == 0 else 0, full if fm & cp else 0)
 
         def ev_knows(pp, cp):
-            t, fm = sub(pp, cp)
+            t, fm = part(pp, cp)
             return (full if pp & ~t == 0 else 0, full if fm & cp else 0)
 
         return ev_knows
-    left, right = _compile(f.left, vocabulary), _compile(f.right, vocabulary)
-    if isinstance(f, And):
 
-        def ev_and(pp, cp):
-            t1, f1 = left(pp, cp)
-            t2, f2 = right(pp, cp)
-            return t1 & t2, f1 | f2
+    return knows
 
-        return ev_and
-    if isinstance(f, Or):
 
-        def ev_or(pp, cp):
-            t1, f1 = left(pp, cp)
-            t2, f2 = right(pp, cp)
-            return t1 | t2, f1 & f2
+def _conjunction(t: Theory, knows):
+    """The closure (x, y) -> (t, f) of the conjunction of t's formulas,
+    its constant members folded into the starting masks."""
+    true0, false0 = t.vocabulary.full_mask, 0
+    parts = []
+    for f in t.formulas:
+        part = _compile(f, t.vocabulary, knows)
+        if callable(part):
+            parts.append(part)
+        else:
+            true0 &= part[0]
+            false0 |= part[1]
 
-        return ev_or
-    if isinstance(f, Implies):
+    def run(x: int, y: int) -> tuple[int, int]:
+        true_acc, false_acc = true0, false0
+        for part in parts:
+            tm, fm = part(x, y)
+            true_acc &= tm
+            false_acc |= fm
+        return true_acc, false_acc
 
-        def ev_implies(pp, cp):
-            t1, f1 = left(pp, cp)
-            t2, f2 = right(pp, cp)
-            return f1 | t2, t1 & f2
-
-        return ev_implies
-    if isinstance(f, Iff):
-
-        def ev_iff(pp, cp):
-            t1, f1 = left(pp, cp)
-            t2, f2 = right(pp, cp)
-            return (t1 & t2) | (f1 & f2), (t1 & f2) | (f1 & t2)
-
-        return ev_iff
-    raise TypeError(f"not a formula: {f!r}")
+    return run
 
 
 @lru_cache(maxsize=4096)
 def _compiled_formula(f: Formula, vocabulary: Vocabulary):
-    return _compile(f, vocabulary)
+    return _compile(f, vocabulary, _three_valued_knows(vocabulary))
 
 
 @lru_cache(maxsize=1024)
 def compiled_theory(t: Theory):
     """The closure (pp_mask, cp_mask) -> (true_mask, false_mask) of the
     three-valued theory value, compiled once per theory."""
-    parts = tuple(_compiled_formula(f, t.vocabulary) for f in t.formulas)
-    full = t.vocabulary.full_mask
-
-    def run(pp_mask: int, cp_mask: int) -> tuple[int, int]:
-        true_acc = full
-        false_acc = 0
-        for part in parts:
-            tm, fm = part(pp_mask, cp_mask)
-            true_acc &= tm
-            false_acc |= fm
-        return true_acc, false_acc
-
-    return run
+    return _conjunction(t, _three_valued_knows(t.vocabulary))
 
 
 def formula_status_masks(f: Formula, pp_mask: int, cp_mask: int,
@@ -187,13 +225,8 @@ def formula_status_masks(f: Formula, pp_mask: int, cp_mask: int,
     monotone in the information order, which the convergence of the
     alternating iteration depends on.
     """
-    return _compiled_formula(f, vocabulary)(pp_mask, cp_mask)
-
-
-def kleene_theory_masks(t: Theory, pp_mask: int, cp_mask: int) -> tuple[int, int]:
-    """Three-valued theory value per world: false if a member is false,
-    true if all members are true."""
-    return compiled_theory(t)(pp_mask, cp_mask)
+    part = _compiled_formula(f, vocabulary)
+    return part(pp_mask, cp_mask) if callable(part) else part
 
 
 def sv_theory_masks(t: Theory, pp_mask: int, cp_mask: int,
@@ -251,43 +284,6 @@ def models(formulas, vocabulary: Vocabulary) -> BeliefState:
 # Evaluation under a K-guess
 # ---------------------------------------------------------------------------
 
-_GUESS_OPS = {
-    Not: lambda full, a: full & ~a,
-    And: lambda full, a, b: a & b,
-    Or: lambda full, a, b: a | b,
-    Implies: lambda full, a, b: (full & ~a) | b,
-    Iff: lambda full, a, b: full & ~(a ^ b),
-}
-
-
-def _compile_guess(f: Formula, vocabulary: Vocabulary, bit_of: dict[Formula, int],
-                   read: set[int]):
-    """Models of f once each K x outside any other K is replaced by bit
-    ``bit_of[x]`` of a guess: a constant mask when f reads no bit, else a
-    closure guess -> mask.  Adds the bits it reads to ``read``."""
-    full = vocabulary.full_mask
-    if isinstance(f, Atom):
-        return atom_worlds_mask(vocabulary.index(f.name), len(vocabulary))
-    if isinstance(f, Top):
-        return full
-    if isinstance(f, Bottom):
-        return 0
-    if isinstance(f, Knows):
-        i = bit_of[f.sub]
-        read.add(i)
-        return lambda g: full if g >> i & 1 else 0
-    op = _GUESS_OPS[type(f)]
-    parts = [_compile_guess(c, vocabulary, bit_of, read) for c in children(f)]
-    if all(isinstance(p, int) for p in parts):
-        return op(full, *parts)
-    fns = [p if callable(p) else (lambda g, p=p: p) for p in parts]
-    if len(fns) == 1:
-        (a,) = fns
-        return lambda g: op(full, a(g))
-    a, b = fns
-    return lambda g: op(full, a(g), b(g))
-
-
 @lru_cache(maxsize=1024)
 def guess_evaluator(t: Theory, guessed: tuple[Formula, ...]):
     """Compile the K-guess reducts of t into one closure.
@@ -299,23 +295,18 @@ def guess_evaluator(t: Theory, guessed: tuple[Formula, ...]):
     nested inside another one is never read.
     """
     bit_of = {x: i for i, x in enumerate(guessed)}
-    read: set[int] = set()
-    fixed = t.vocabulary.full_mask
-    parts = []
-    for f in t.formulas:
-        part = _compile_guess(f, t.vocabulary, bit_of, read)
-        if callable(part):
-            parts.append(part)
-        else:
-            fixed &= part
+    full = t.vocabulary.full_mask
+    on, off = (full, 0), (0, full)
+    read = 0
 
-    def run(guess: int) -> int:
-        mask = fixed
-        for part in parts:
-            mask &= part(guess)
-        return mask
+    def knows(sub: Formula):
+        nonlocal read
+        i = bit_of[sub]
+        read |= 1 << i
+        return lambda guess, _: on if guess >> i & 1 else off
 
-    return run, sum(1 << i for i in read)
+    reduct = _conjunction(t, knows)
+    return (lambda guess: reduct(guess, 0)[0]), read
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +343,7 @@ def eval_kleene(pb: PartialBeliefState, w: World, f: Formula) -> TruthValue3:
 def eval_kleene_theory(pb: PartialBeliefState, w: World, t: Theory) -> TruthValue3:
     _require_same_vocabulary(pb.vocabulary, w.vocabulary)
     _require_same_vocabulary(pb.vocabulary, t.vocabulary)
-    return _value_at(kleene_theory_masks(t, pb.pp.mask, pb.cp.mask), w.index)
+    return _value_at(compiled_theory(t)(pb.pp.mask, pb.cp.mask), w.index)
 
 
 def eval_sv(pb: PartialBeliefState, w: World, t: Theory,

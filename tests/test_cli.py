@@ -62,6 +62,15 @@ def test_solve_reiter_nixon_json(corpus, capsys):
     assert payload["objective_consequences"] == [["R", "Q", "H", "~D"], ["R", "Q", "~H", "D"]]
 
 
+def test_solve_json_empty_state_entails_every_literal(tmp_path, capsys):
+    path = tmp_path / "contradiction.ael"
+    path.write_text("vocab: P Q\nP\n~P\n")
+    assert solve("--semantics", "kk", "--input", str(path), "--json") == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert [r["pp"] for r in payload["results"]] == [[]]
+    assert payload["objective_consequences"] == [["P", "Q"]]
+
+
 def test_solve_empty_result_list_is_success(corpus, capsys):
     rc = solve("--semantics", "expansion", "--input", str(corpus / "liar.ael"))
     assert rc == 0

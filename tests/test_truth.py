@@ -3,9 +3,25 @@ import random
 import pytest
 
 from nmr.errors import ResourceCapError, VocabularyMismatchError
-from nmr.syntax import Atom, Knows, parse_formula, parse_theory
+from nmr.syntax import (
+    BOTTOM,
+    TOP,
+    And,
+    Atom,
+    Bottom,
+    Implies,
+    Knows,
+    Not,
+    Or,
+    Top,
+    children,
+    collect_modal_subformulas,
+    parse_formula,
+    parse_theory,
+)
 from nmr.truth import (
     TruthValue3,
+    compiled_theory,
     entails,
     eval_kleene,
     eval_kleene_theory,
@@ -13,6 +29,7 @@ from nmr.truth import (
     eval_sv,
     eval_sv_formula,
     formula_status_masks,
+    guess_evaluator,
     models,
     models_mask,
 )
@@ -199,3 +216,96 @@ def test_vocabulary_mismatch_is_reported():
         eval_s5(BeliefState.full(VP), world(VP, ()), Atom("Z"))
     with pytest.raises(VocabularyMismatchError):
         eval_kleene(bottom_p(VP), world(VPQ, ()), Atom("P"))
+
+
+def _reference_masks(f, pp, cp, vocab):
+    """(true_mask, false_mask) of f, node by node and world by world: K x
+    is true when every pp world makes x true and false when some cp world
+    makes x false, so on an inconsistent pair it can be both."""
+    worlds = range(1 << len(vocab))
+
+    def value(g, w):
+        if isinstance(g, Atom):
+            holds = bool(w >> vocab.index(g.name) & 1)
+            return holds, not holds
+        if isinstance(g, Top):
+            return True, False
+        if isinstance(g, Bottom):
+            return False, True
+        if isinstance(g, Not):
+            t, fl = value(g.sub, w)
+            return fl, t
+        if isinstance(g, Knows):
+            return (all(value(g.sub, v)[0] for v in worlds if pp >> v & 1),
+                    any(value(g.sub, v)[1] for v in worlds if cp >> v & 1))
+        (t1, f1), (t2, f2) = value(g.left, w), value(g.right, w)
+        if isinstance(g, And):
+            return t1 and t2, f1 or f2
+        if isinstance(g, Or):
+            return t1 or t2, f1 and f2
+        if isinstance(g, Implies):
+            return f1 or t2, t1 and f2
+        return (t1 and t2) or (f1 and f2), (t1 and f2) or (f1 and t2)  # Iff
+
+    tm = fm = 0
+    for w in worlds:
+        t, fl = value(f, w)
+        tm |= t << w
+        fm |= fl << w
+    return tm, fm
+
+
+def _outermost_k_args(f):
+    if isinstance(f, Knows):
+        return [f.sub]
+    return [x for c in children(f) for x in _outermost_k_args(c)]
+
+
+def _reduct(f, subs, guess):
+    """f with every K x outside any other K replaced by bit subs.index(x)
+    of the guess."""
+    if isinstance(f, Knows):
+        return TOP if guess >> subs.index(f.sub) & 1 else BOTTOM
+    if isinstance(f, Not):
+        return Not(_reduct(f.sub, subs, guess))
+    if children(f):
+        return type(f)(_reduct(f.left, subs, guess), _reduct(f.right, subs, guess))
+    return f
+
+
+def test_compiled_masks_match_a_node_by_node_reference_on_every_mask_pair():
+    rng = random.Random(97)
+    pairs = [(pp, cp) for pp in range(VPQ.full_mask + 1) for cp in range(VPQ.full_mask + 1)]
+    nested = folded = 0
+    for _ in range(40):
+        t = rand_theory(rng, ["P", "Q"], depth=4)
+        nested += any(_outermost_k_args(x) for x in collect_modal_subformulas(t))
+        folded += any(not _outermost_k_args(f) for f in t.formulas)
+        run = compiled_theory(t)
+        for pp, cp in pairs:
+            expect_t, expect_f = VPQ.full_mask, 0
+            for f in t.formulas:
+                tm, fm = _reference_masks(f, pp, cp, VPQ)
+                assert formula_status_masks(f, pp, cp, VPQ) == (tm, fm)
+                expect_t &= tm
+                expect_f |= fm
+            assert run(pp, cp) == (expect_t, expect_f)
+    assert nested and folded
+
+
+def test_guess_evaluator_matches_the_substituted_reducts():
+    rng = random.Random(101)
+    nested = 0
+    for _ in range(150):
+        t = rand_theory(rng, ["P", "Q"], max_formulas=4, depth=4)
+        subs = collect_modal_subformulas(t)
+        run, read = guess_evaluator(t, subs)
+        outer = [x for f in t.formulas for x in _outermost_k_args(f)]
+        assert read == sum({1 << subs.index(x) for x in outer})
+        nested += len(set(outer)) < len(subs)
+        for guess in range(1 << len(subs)):
+            expect = VPQ.full_mask
+            for f in t.formulas:
+                expect &= _reference_masks(_reduct(f, subs, guess), 0, 0, VPQ)[0]
+            assert run(guess) == expect
+    assert nested
