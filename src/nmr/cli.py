@@ -234,8 +234,10 @@ def run_check(path: Path, truth: TruthFunctionKind = TruthFunctionKind.KLEENE,
                 f"  translated: {[str(b) for b in report.stable]}"
             )
         theory = konolige(dt)
+        fast_stable = list(report.stable)  # align_check solved the translation already
     else:
         theory = _load_ael(path, budget.max_atoms)
+        fast_stable = None
 
     ctx = OperatorContext(theory, truth)
     fast_exp = [s.pp for s in expansions(ctx).results]
@@ -247,7 +249,8 @@ def run_check(path: Path, truth: TruthFunctionKind = TruthFunctionKind.KLEENE,
             f"  brute: {[str(b) for b in brute_exp]}"
         )
 
-    fast_stable = [s.pp for s in stable_extensions(ctx).results]
+    if fast_stable is None:
+        fast_stable = stable_extensions(ctx).belief_states()
     brute_st = brute_stable(ctx, budget)
     print(f"stable: fast {len(fast_stable)} = brute {len(brute_st)}", file=out)
     if fast_stable != brute_st:
@@ -310,14 +313,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: Built once per process; parsing does not change it, so every call shares it.
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         if args.command == "solve":
             logic = args.logic or _infer_logic(args.input)
             if args.semantics in DL_ALIASES and logic != "dl":
-                parser.error(f"--semantics {args.semantics} requires default-logic input")
+                _PARSER.error(f"--semantics {args.semantics} requires default-logic input")
             req = SolveRequest(
                 logic=logic,
                 semantics=args.semantics,

@@ -25,7 +25,7 @@ justification list possibly empty.  Modal operators are not allowed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 from typing import Iterator
 
 from .errors import ParseError, ResourceCapError
@@ -77,7 +77,7 @@ def _components(facts, defaults) -> Iterator[Formula]:
         yield d.consequent
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class DefaultTheory:
     vocabulary: Vocabulary
     facts: tuple[Formula, ...]
@@ -102,6 +102,22 @@ class DefaultTheory:
                     seen.setdefault(name)
             vocabulary = Vocabulary(tuple(seen))
         return cls(vocabulary, facts, defaults)
+
+    @cached_property
+    def _masks(self) -> tuple[int, tuple, tuple, tuple]:
+        """Model masks of the facts (conjoined), and per default of the
+        prerequisite, the justifications and the consequent; computed on
+        first use and freed with the theory."""
+        vocab = self.vocabulary
+        facts = vocab.full_mask
+        for f in self.facts:
+            facts &= models_mask(f, vocab)
+        return (
+            facts,
+            tuple(models_mask(d.prerequisite, vocab) for d in self.defaults),
+            tuple(tuple(models_mask(j, vocab) for j in d.justifications) for d in self.defaults),
+            tuple(models_mask(d.consequent, vocab) for d in self.defaults),
+        )
 
 
 def _parse_objective(text: str, line_no: int) -> Formula:
@@ -158,22 +174,6 @@ def konolige(dt: DefaultTheory) -> Theory:
     return Theory(dt.vocabulary, tuple(out))
 
 
-@lru_cache(maxsize=256)
-def _theory_masks(dt: DefaultTheory) -> tuple[int, tuple, tuple, tuple]:
-    """Model masks of the facts (conjoined), and per default of the
-    prerequisite, the justifications and the consequent."""
-    vocab = dt.vocabulary
-    facts = vocab.full_mask
-    for f in dt.facts:
-        facts &= models_mask(f, vocab)
-    return (
-        facts,
-        tuple(models_mask(d.prerequisite, vocab) for d in dt.defaults),
-        tuple(tuple(models_mask(j, vocab) for j in d.justifications) for d in dt.defaults),
-        tuple(models_mask(d.consequent, vocab) for d in dt.defaults),
-    )
-
-
 def gamma_operator(dt: DefaultTheory, e: BeliefState) -> BeliefState:
     """Consequence closure of the facts under the defaults active w.r.t. e.
 
@@ -182,7 +182,7 @@ def gamma_operator(dt: DefaultTheory, e: BeliefState) -> BeliefState:
     applying it intersects the state with the consequent's models.
     Iterated to a fixpoint (consequents can enable prerequisites).
     """
-    b, prereqs, justs, conss = _theory_masks(dt)
+    b, prereqs, justs, conss = dt._masks
     while True:
         nxt = b
         for prereq, just, cons in zip(prereqs, justs, conss):
@@ -208,7 +208,7 @@ def reiter_extensions(dt: DefaultTheory, max_defaults: int = DEFAULT_SUBSET_CAP)
             f"{len(dt.defaults)} defaults exceed the subset-enumeration cap {max_defaults}"
         )
     vocab = dt.vocabulary
-    facts_mask, _, _, cons = _theory_masks(dt)
+    facts_mask, _, _, cons = dt._masks
 
     candidates: set[int] = set()
     for bits in range(1 << len(dt.defaults)):

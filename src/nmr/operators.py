@@ -30,7 +30,14 @@ from .truth import (
     compiled_theory,
     sv_theory_masks,
 )
-from .worlds import BeliefState, PartialBeliefState, Vocabulary, bottom_p, leq_p
+from .worlds import (
+    BeliefState,
+    PartialBeliefState,
+    Vocabulary,
+    _require_same_vocabulary,
+    bottom_p,
+    leq_p,
+)
 
 
 @dataclass(frozen=True, slots=True)
@@ -39,8 +46,8 @@ class OperatorContext:
 
     theory: Theory
     truth: TruthFunctionKind = TruthFunctionKind.KLEENE
-    #: The theory's three-valued evaluator, fetched once here: every
-    #: lookup in the per-theory cache would rehash the whole formula tree.
+    #: The theory's compiled three-valued evaluator, built once here and
+    #: held by nothing else, so it is freed with the context.
     kleene_masks: Callable[[int, int], tuple[int, int]] = field(
         init=False, repr=False, compare=False)
 
@@ -54,7 +61,7 @@ class OperatorContext:
     def status_masks(self, pp_mask: int, cp_mask: int) -> tuple[int, int]:
         if self.truth is TruthFunctionKind.KLEENE:
             return self.kleene_masks(pp_mask, cp_mask)
-        return sv_theory_masks(self.theory, pp_mask, cp_mask)
+        return sv_theory_masks(self.kleene_masks, self.vocabulary, pp_mask, cp_mask)
 
 
 class NotStableSignal:
@@ -81,13 +88,13 @@ NOT_STABLE = NotStableSignal()
 
 def moore_step(ctx: OperatorContext, b: BeliefState) -> BeliefState:
     """All worlds satisfying the theory classically under b."""
-    _check_vocab(ctx, b.vocabulary)
+    _require_same_vocabulary(b.vocabulary, ctx.vocabulary)
     return BeliefState(b.vocabulary, ctx.kleene_masks(b.mask, b.mask)[0])
 
 
 def approx_step(ctx: OperatorContext, pb: PartialBeliefState) -> PartialBeliefState:
     """One three-valued revision step; always yields a consistent pair."""
-    _check_vocab(ctx, pb.vocabulary)
+    _require_same_vocabulary(pb.vocabulary, ctx.vocabulary)
     t_mask, f_mask = ctx.status_masks(pb.pp.mask, pb.cp.mask)
     full = ctx.vocabulary.full_mask
     return PartialBeliefState.of_masks(pb.vocabulary, full & ~f_mask, t_mask)
@@ -138,7 +145,7 @@ def stable_revision(ctx: OperatorContext, b: BeliefState,
     world of b itself: the pair would stop being consistent and the
     iteration could no longer land on b.
     """
-    _check_vocab(ctx, b.vocabulary)
+    _require_same_vocabulary(b.vocabulary, ctx.vocabulary)
     z = ctx.vocabulary.full_mask
     while True:
         _, f_mask = ctx.status_masks(z, b.mask)
@@ -170,9 +177,3 @@ def klfp_moore(ctx: OperatorContext) -> BeliefState:
         b = nxt
     raise InternalInvariantError("moore_step iteration failed to converge")
 
-
-def _check_vocab(ctx: OperatorContext, vocabulary: Vocabulary) -> None:
-    if vocabulary != ctx.vocabulary:
-        from .errors import VocabularyMismatchError
-
-        raise VocabularyMismatchError("argument vocabulary differs from the context theory's")

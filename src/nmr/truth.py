@@ -32,7 +32,6 @@ compiler yields the classical models of every K-guess reduct.
 from __future__ import annotations
 
 from enum import Enum
-from functools import lru_cache
 
 from .errors import ResourceCapError
 from .syntax import (
@@ -199,15 +198,11 @@ def _conjunction(t: Theory, knows):
     return run
 
 
-@lru_cache(maxsize=4096)
-def _compiled_formula(f: Formula, vocabulary: Vocabulary):
-    return _compile(f, vocabulary, _three_valued_knows(vocabulary))
-
-
-@lru_cache(maxsize=1024)
 def compiled_theory(t: Theory):
     """The closure (pp_mask, cp_mask) -> (true_mask, false_mask) of the
-    three-valued theory value, compiled once per theory."""
+    three-valued theory value.  Nothing caches it: the caller keeps it
+    while it evaluates the theory (``OperatorContext`` for one solve)
+    and it is freed with the caller."""
     return _conjunction(t, _three_valued_knows(t.vocabulary))
 
 
@@ -225,21 +220,24 @@ def formula_status_masks(f: Formula, pp_mask: int, cp_mask: int,
     monotone in the information order, which the convergence of the
     alternating iteration depends on.
     """
-    part = _compiled_formula(f, vocabulary)
+    part = _compile(f, vocabulary, _three_valued_knows(vocabulary))
     return part(pp_mask, cp_mask) if callable(part) else part
 
 
-def sv_theory_masks(t: Theory, pp_mask: int, cp_mask: int,
+def sv_theory_masks(run, vocabulary: Vocabulary, pp_mask: int, cp_mask: int,
                     cap: int = DEFAULT_COMPLETION_CAP) -> tuple[int, int]:
     """Supervaluation value per world, by case analysis over the
     completions cp <= b <= pp.
+
+    ``run`` is the theory's compiled three-valued closure
+    (``compiled_theory``), evaluated classically on each completion.
 
     A raw inconsistent mask pair (oracle only) has no completions, and
     the empty case analysis makes every verdict vacuously unanimous:
     both masks come back full, the four-valued reading that keeps the
     function monotone in the information order.
     """
-    full = t.vocabulary.full_mask
+    full = vocabulary.full_mask
     if cp_mask & ~pp_mask:
         return full, full
     unknown = pp_mask & ~cp_mask
@@ -248,7 +246,6 @@ def sv_theory_masks(t: Theory, pp_mask: int, cp_mask: int,
         raise ResourceCapError(
             f"supervaluation over {u} unknown worlds exceeds the completion cap {cap}"
         )
-    run = compiled_theory(t)
     true_acc = full
     false_acc = full
     part = 0
@@ -284,7 +281,6 @@ def models(formulas, vocabulary: Vocabulary) -> BeliefState:
 # Evaluation under a K-guess
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=1024)
 def guess_evaluator(t: Theory, guessed: tuple[Formula, ...]):
     """Compile the K-guess reducts of t into one closure.
 
@@ -350,7 +346,8 @@ def eval_sv(pb: PartialBeliefState, w: World, t: Theory,
             cap: int = DEFAULT_COMPLETION_CAP) -> TruthValue3:
     _require_same_vocabulary(pb.vocabulary, w.vocabulary)
     _require_same_vocabulary(pb.vocabulary, t.vocabulary)
-    return _value_at(sv_theory_masks(t, pb.pp.mask, pb.cp.mask, cap), w.index)
+    return _value_at(sv_theory_masks(compiled_theory(t), t.vocabulary,
+                                     pb.pp.mask, pb.cp.mask, cap), w.index)
 
 
 def eval_sv_formula(pb: PartialBeliefState, w: World, f: Formula,

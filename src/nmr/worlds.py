@@ -9,7 +9,7 @@ operations on Python integers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterator, TYPE_CHECKING
 
@@ -27,14 +27,16 @@ class Vocabulary:
     """Ordered atom names; the order fixes the world indexing."""
 
     atoms: tuple[str, ...]
+    #: 2^n, the number of worlds.
+    world_count: int = field(init=False, repr=False, compare=False)
+    #: Bitmask with one bit per world, all set.
+    full_mask: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(set(self.atoms)) != len(self.atoms):
             raise ValueError(f"duplicate atom names in vocabulary: {self.atoms}")
-
-    @classmethod
-    def of(cls, *names: str) -> "Vocabulary":
-        return cls(tuple(names))
+        object.__setattr__(self, "world_count", 1 << len(self.atoms))
+        object.__setattr__(self, "full_mask", (1 << self.world_count) - 1)
 
     def __len__(self) -> int:
         return len(self.atoms)
@@ -52,15 +54,6 @@ class Vocabulary:
             raise VocabularyMismatchError(
                 f"atom {name!r} is not in the vocabulary {list(self.atoms)}"
             ) from None
-
-    @property
-    def world_count(self) -> int:
-        return 1 << len(self.atoms)
-
-    @property
-    def full_mask(self) -> int:
-        """Bitmask with one bit per world, all set."""
-        return (1 << self.world_count) - 1
 
     def __str__(self) -> str:
         return " ".join(self.atoms) if self.atoms else "(empty)"
@@ -148,17 +141,6 @@ class BeliefState:
         for i in indices:
             mask |= 1 << i
         return cls(vocabulary, mask)
-
-    @classmethod
-    def of_worlds(cls, worlds) -> "BeliefState":
-        worlds = list(worlds)
-        if not worlds:
-            raise ValueError("of_worlds needs at least one world; use empty()")
-        vocab = worlds[0].vocabulary
-        for w in worlds:
-            if w.vocabulary != vocab:
-                raise VocabularyMismatchError("worlds over different vocabularies")
-        return cls.of_indices(vocab, (w.index for w in worlds))
 
     def __len__(self) -> int:
         return self.mask.bit_count()

@@ -1,8 +1,13 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import nmr.cli
 import nmr.semantics
 from nmr.cli import SolveRequest, main, replay_trace_payload, run_check, run_solve
 from nmr.defaults import konolige, parse_default_theory
@@ -212,6 +217,16 @@ def test_long_flat_conjunction_still_solves(tmp_path, capsys):
     assert capsys.readouterr().out == "vocabulary: P\nkk: TOTAL {{P}}\n"
 
 
+def test_long_flat_conjunction_solves_again_in_the_same_process(tmp_path, capsys):
+    # Nothing keyed on the theory outlives a call, so a repeat compares no deep ASTs.
+    wide = tmp_path / "wide.ael"
+    wide.write_text("vocab: P\n" + " & ".join(["P"] * 400) + "\n")
+    for semantics in ("kk", "kk", "wf"):
+        assert solve("--semantics", semantics, "--input", str(wide)) == 0
+    assert capsys.readouterr().out == (
+        "vocabulary: P\nkk: TOTAL {{P}}\n" * 2 + "vocabulary: P\nwf: TOTAL {{P}}\n")
+
+
 def test_exit_code_resource_cap(corpus, capsys):
     rc = solve("--semantics", "kk", "--input", str(corpus / "iff_knowledge.ael"),
                "--max-atoms", "1")
@@ -277,3 +292,36 @@ def test_run_solve_accepts_stream(corpus):
                        input_path=corpus / "truthsayer.ael")
     assert run_solve(req, out=buf) == 0
     assert buf.getvalue() == "vocabulary: P\nkk: PARTIAL ({∅, {P}}, {{P}})\n"
+
+
+def _in_process(argv, capsys):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def _fresh_process(argv):
+    src = str(Path(nmr.cli.__file__).resolve().parents[1])
+    env = {**os.environ, "COLUMNS": "80", "PYTHONIOENCODING": "utf-8",
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run([sys.executable, "-m", "nmr", *argv], capture_output=True,
+                          encoding="utf-8", env=env, check=False)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_one_process_reuses_the_parser_like_fresh_processes(corpus, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    calls = [
+        ["solve", "--semantics", "bogus", "--input", str(corpus / "liar.ael")],
+        ["solve", "--semantics", "reiter", "--input", str(corpus / "truthsayer.ael")],
+        ["--help"],
+        ["solve", "--help"],
+        ["solve", "--semantics", "reiter", "--json", "--input", str(corpus / "nixon.dt")],
+        ["check", "--input", str(corpus / "nixon.dt")],
+    ]
+    in_process = [_in_process(argv, capsys) for argv in calls]
+    assert [code for code, _, _ in in_process] == [2, 2, 0, 0, 0, 0]
+    assert in_process == [_fresh_process(argv) for argv in calls]

@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -240,3 +242,12 @@ def test_nixon_diamonds_match_direct_reiter(k):
     direct = reiter_extensions(dt)
     assert len(direct) == 2 ** k
     assert dl_semantics(dt, "reiter").belief_states() == direct
+
+
+def test_default_theory_masks_are_freed_with_the_theory():
+    dt = parse_default_theory(NIXON)
+    assert len(reiter_extensions(dt)) == 2
+    held = weakref.ref(dt)
+    del dt
+    gc.collect()
+    assert held() is None

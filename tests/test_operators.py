@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from nmr.errors import VocabularyMismatchError
 from nmr.operators import (
     NOT_STABLE,
     OperatorContext,
@@ -161,3 +162,13 @@ def test_kk_lfp_is_a_fixpoint():
         ctx = OperatorContext(rand_theory(rng, ["P", "Q"]))
         fix = kk_lfp(ctx)
         assert approx_step(ctx, fix) == fix
+
+
+def test_operators_reject_a_state_over_another_vocabulary():
+    ctx = ctx_of("K P -> P")
+    with pytest.raises(VocabularyMismatchError, match="vocabulary mismatch"):
+        moore_step(ctx, BeliefState.full(VPQ))
+    with pytest.raises(VocabularyMismatchError, match="vocabulary mismatch"):
+        approx_step(ctx, bottom_p(VPQ))
+    with pytest.raises(VocabularyMismatchError, match="vocabulary mismatch"):
+        stable_revision(ctx, BeliefState.full(VPQ))

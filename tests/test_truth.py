@@ -1,8 +1,12 @@
+import gc
 import random
+import weakref
 
 import pytest
 
 from nmr.errors import ResourceCapError, VocabularyMismatchError
+from nmr.operators import OperatorContext
+from nmr.semantics import expansions, stable_extensions
 from nmr.syntax import (
     BOTTOM,
     TOP,
@@ -20,6 +24,7 @@ from nmr.syntax import (
     parse_theory,
 )
 from nmr.truth import (
+    TruthFunctionKind,
     TruthValue3,
     compiled_theory,
     entails,
@@ -309,3 +314,17 @@ def test_guess_evaluator_matches_the_substituted_reducts():
                 expect &= _reference_masks(_reduct(f, subs, guess), 0, 0, VPQ)[0]
             assert run(guess) == expect
     assert nested
+
+
+@pytest.mark.parametrize("truth", list(TruthFunctionKind))
+def test_compiled_theories_are_freed_with_their_holders(truth):
+    t = parse_theory("vocab: P Q\nK P -> P\n~K ~Q -> Q\nK (P | Q) | ~K Q\n")
+    ctx = OperatorContext(t, truth)
+    assert expansions(ctx).results and stable_extensions(ctx).results
+    subs = collect_modal_subformulas(t)
+    held = weakref.ref(ctx.kleene_masks)
+    reducts = weakref.ref(guess_evaluator(t, subs)[0])
+    del ctx, t, subs
+    gc.collect()
+    assert held() is None
+    assert reducts() is None
