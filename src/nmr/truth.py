@@ -306,7 +306,8 @@ def guess_evaluator(t: Theory, guessed: tuple[Formula, ...]):
 
 
 # ---------------------------------------------------------------------------
-# Pointwise API
+# Pointwise API.  Each call compiles its formula or theory afresh; to evaluate
+# one at many worlds or states, compile it once (``compiled_theory``).
 # ---------------------------------------------------------------------------
 
 def _value_at(masks: tuple[int, int], index: int) -> TruthValue3:

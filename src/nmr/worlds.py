@@ -29,14 +29,22 @@ class Vocabulary:
     atoms: tuple[str, ...]
     #: 2^n, the number of worlds.
     world_count: int = field(init=False, repr=False, compare=False)
-    #: Bitmask with one bit per world, all set.
-    full_mask: int = field(init=False, repr=False, compare=False)
+    _full_mask: int | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(set(self.atoms)) != len(self.atoms):
             raise ValueError(f"duplicate atom names in vocabulary: {self.atoms}")
         object.__setattr__(self, "world_count", 1 << len(self.atoms))
-        object.__setattr__(self, "full_mask", (1 << self.world_count) - 1)
+
+    @property
+    def full_mask(self) -> int:
+        """Bitmask with one bit per world, all set.  Built on first read:
+        parsing makes a vocabulary before the atom cap is checked."""
+        mask = self._full_mask
+        if mask is None:
+            mask = (1 << self.world_count) - 1
+            object.__setattr__(self, "_full_mask", mask)
+        return mask
 
     def __len__(self) -> int:
         return len(self.atoms)
@@ -124,7 +132,7 @@ class BeliefState:
     mask: int
 
     def __post_init__(self):
-        if not 0 <= self.mask <= self.vocabulary.full_mask:
+        if self.mask < 0 or self.mask >> self.vocabulary.world_count:
             raise ValueError("belief-state mask out of range for vocabulary")
 
     @classmethod

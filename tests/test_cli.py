@@ -234,6 +234,34 @@ def test_exit_code_resource_cap(corpus, capsys):
     assert "resource cap" in capsys.readouterr().err
 
 
+def _limit_address_space_to_1_gib():
+    # A 2^n-bit allocation then fails in the child instead of taking the
+    # host's memory.
+    import resource
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize("atoms", [40, 64])
+@pytest.mark.parametrize("suffix,body", [(".ael", "A0\nK A1 -> A2\n"),
+                                         (".dt", "A0\nA0 : A1 / A1\n")], ids=["ael", "dt"])
+def test_vocabulary_past_the_cap_is_refused_before_any_mask_is_built(tmp_path, atoms,
+                                                                     suffix, body):
+    header = "vocab: " + " ".join(f"A{i}" for i in range(atoms)) + "\n"
+    path = tmp_path / f"wide{suffix}"
+    path.write_text(header + body, encoding="utf-8")
+    for command, cap in ((["solve", "--semantics", "kk"], 20), (["check"], 4)):
+        code, _, err = _fresh_process([*command, "--input", str(path)],
+                                      preexec_fn=_limit_address_space_to_1_gib)
+        assert code == 2, err
+        assert err == (f"resource cap: vocabulary has {atoms} atoms; cap is {cap} "
+                       f"(2^{atoms} worlds would be materialized)\n")
+    if suffix == ".dt":
+        code, out, err = _fresh_process(["translate", "--input", str(path)],
+                                        preexec_fn=_limit_address_space_to_1_gib)
+        assert (code, err) == (0, "")
+        assert out.startswith(header)
+
+
 def test_reiter_requires_default_logic_input(corpus):
     with pytest.raises(SystemExit):
         solve("--semantics", "reiter", "--input", str(corpus / "truthsayer.ael"))
@@ -303,12 +331,12 @@ def _in_process(argv, capsys):
     return code, captured.out, captured.err
 
 
-def _fresh_process(argv):
+def _fresh_process(argv, **run_args):
     src = str(Path(nmr.cli.__file__).resolve().parents[1])
     env = {**os.environ, "COLUMNS": "80", "PYTHONIOENCODING": "utf-8",
            "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
     proc = subprocess.run([sys.executable, "-m", "nmr", *argv], capture_output=True,
-                          encoding="utf-8", env=env, check=False)
+                          encoding="utf-8", env=env, check=False, **run_args)
     return proc.returncode, proc.stdout, proc.stderr
 
 

@@ -247,6 +247,7 @@ def test_nixon_diamonds_match_direct_reiter(k):
 def test_default_theory_masks_are_freed_with_the_theory():
     dt = parse_default_theory(NIXON)
     assert len(reiter_extensions(dt)) == 2
+    assert "_masks" in vars(dt)  # the solve cached its masks on the theory
     held = weakref.ref(dt)
     del dt
     gc.collect()
