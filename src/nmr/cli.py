@@ -12,6 +12,9 @@ exceeded, a formula nested too deeply, or a usage error (argparse's
 own exit code, e.g. ``--semantics reiter`` on an ``.ael`` file),
 3 internal invariant violation, 4 oracle disagreement from ``check``.
 Output is deterministic: identical inputs produce byte-identical output.
+``--json`` output has the layout ``json.dumps`` gives with an indent of
+2, written directly by ``solve_payload`` (each world's atom list is
+encoded once per call); ``tests/test_golden.py`` pins it byte for byte.
 """
 
 from __future__ import annotations
@@ -37,7 +40,6 @@ from .semantics import (
     KK,
     SOLVERS,
     WF,
-    DerivationTrace,
     SemanticsResult,
     expansions,
     stable_extensions,
@@ -52,6 +54,8 @@ from .worlds import (
     Vocabulary,
     atom_worlds_mask,
     enumerate_worlds,
+    set_bits,
+    world_texts,
 )
 
 _STATUS_WORDS = {"t": "certainly possible", "f": "certainly impossible"}
@@ -104,36 +108,72 @@ def _literal_consequences(b: BeliefState) -> list[str]:
     return out
 
 
-def _trace_json(trace: DerivationTrace) -> dict:
-    vocab = trace.initial.vocabulary
-    return {
-        "initial": {"pp": trace.initial.pp.to_json(), "cp": trace.initial.cp.to_json()},
-        "steps": [
-            {
-                "kind": step.kind,
-                "status": step.status,
-                "worlds": BeliefState(vocab, step.mask).to_json(),
-            }
-            for step in trace.steps
-        ],
-    }
+def _json_list(items: list[str], d: int) -> str:
+    """A list at depth d whose items are JSON texts laid out at depth d + 1."""
+    if not items:
+        return "[]"
+    pad = "\n" + "  " * d
+    return "[" + pad + "  " + ("," + pad + "  ").join(items) + pad + "]"
+
+
+def _json_dict(pairs: dict[str, str], d: int) -> str:
+    """A dict at depth d whose values are JSON texts laid out at depth d + 1."""
+    pad = "\n" + "  " * d
+    return "{" + pad + "  " + ("," + pad + "  ").join(
+        f"{json.dumps(k)}: {v}" for k, v in pairs.items()) + pad + "}"
+
+
+def _strings(names, d: int) -> str:
+    return _json_list([json.dumps(s) for s in names], d)
 
 
 def solve_payload(vocabulary: Vocabulary, logic: str, semantics: str,
-                  result: SemanticsResult, include_trace: bool) -> dict:
+                  result: SemanticsResult, include_trace: bool) -> str:
+    """The ``--json`` text, written directly: the payload the ``to_json``
+    methods describe, laid out as ``json.dumps`` lays it out with an indent
+    of 2."""
+    masks = [m for r in result.results for m in (r.pp.mask, r.cp.mask)]
+    if include_trace:
+        masks += [m for t in result.traces
+                  for m in (t.initial.pp.mask, t.initial.cp.mask, *(s.mask for s in t.steps))]
+    union = 0
+    for m in masks:
+        union |= m
+    # Each world's sorted atom list, laid out once at depth 0.
+    names = sorted((name, 1 << k) for k, name in enumerate(vocabulary.atoms))
+    names = [(json.dumps(name), bit) for name, bit in names]
+    leaves = {i: _json_list([s for s, bit in names if i & bit], 0) for i in set_bits(union)}
+
+    def worlds(mask: int, d: int) -> str:
+        if not mask:
+            return "[]"
+        body = ",\n".join([leaves[i] for i in set_bits(mask)])
+        return _json_list([body.replace("\n", "\n" + "  " * (d + 1))], d)
+
+    def state(p: PartialBeliefState, d: int) -> str:
+        return _json_dict({"kind": json.dumps("total" if p.is_total else "partial"),
+                           "pp": worlds(p.pp.mask, d + 1), "cp": worlds(p.cp.mask, d + 1)}, d)
+
     payload = {
-        "vocabulary": list(vocabulary.atoms),
-        "logic": logic,
-        "semantics": semantics,
-        "truth": result.truth.value,
-        "results": [r.to_json() for r in result.results],
-        "objective_consequences": [
-            _literal_consequences(r.pp) if r.is_total else None for r in result.results
-        ],
+        "vocabulary": _strings(vocabulary.atoms, 1),
+        "logic": json.dumps(logic),
+        "semantics": json.dumps(semantics),
+        "truth": json.dumps(result.truth.value),
+        "results": _json_list([state(r, 2) for r in result.results], 1),
+        "objective_consequences": _json_list(
+            [_strings(_literal_consequences(r.pp), 2) if r.is_total else "null"
+             for r in result.results], 1),
     }
     if include_trace:
-        payload["traces"] = [_trace_json(t) for t in result.traces]
-    return payload
+        payload["traces"] = _json_list([_json_dict({
+            "initial": _json_dict({"pp": worlds(t.initial.pp.mask, 4),
+                                   "cp": worlds(t.initial.cp.mask, 4)}, 3),
+            "steps": _json_list([_json_dict({"kind": json.dumps(s.kind),
+                                             "status": json.dumps(s.status),
+                                             "worlds": worlds(s.mask, 5)}, 4)
+                                 for s in t.steps], 3),
+        }, 2) for t in result.traces], 1)
+    return _json_dict(payload, 0)
 
 
 def replay_trace_payload(payload: dict) -> list[dict]:
@@ -175,7 +215,7 @@ def _print_human(out, semantics: str, result: SemanticsResult, trace: bool) -> N
         for i, t in enumerate(result.traces, start=1):
             print(f"trace {i}: from {t.initial}", file=out)
             for step in t.steps:
-                worlds = ", ".join(map(str, BeliefState(t.initial.vocabulary, step.mask).worlds()))
+                worlds = ", ".join(world_texts(t.initial.vocabulary, step.mask))
                 print(f"  {step.kind}: {worlds} -> {_STATUS_WORDS[step.status]}", file=out)
 
 
@@ -194,8 +234,7 @@ def run_solve(req: SolveRequest, out=None) -> int:
         result = SOLVERS[req.semantics](OperatorContext(theory, req.truth))
         vocabulary = theory.vocabulary
     if req.json_out:
-        payload = solve_payload(vocabulary, req.logic, req.semantics, result, req.trace)
-        print(json.dumps(payload, indent=2), file=out)
+        print(solve_payload(vocabulary, req.logic, req.semantics, result, req.trace), file=out)
     else:
         print(f"vocabulary: {vocabulary}", file=out)
         _print_human(out, req.semantics, result, req.trace)

@@ -93,6 +93,14 @@ def set_bits(mask: int) -> Iterator[int]:
         i = digits.find("1", i + 1)
 
 
+def world_texts(vocabulary: Vocabulary, mask: int) -> list[str]:
+    """Each world of mask, ascending, as ``{a,b}``: its true atoms in
+    vocabulary order, or ``∅`` for world 0."""
+    named = [(1 << k, a) for k, a in enumerate(vocabulary.atoms)]
+    return ["{" + ",".join([a for bit, a in named if i & bit]) + "}" if i else "∅"
+            for i in set_bits(mask)]
+
+
 @dataclass(frozen=True, slots=True)
 class World:
     """One interpretation of the vocabulary, named by its canonical index."""
@@ -116,8 +124,7 @@ class World:
         return sorted(self.true_atoms())
 
     def __str__(self) -> str:
-        atoms = self.true_atoms()
-        return "{" + ",".join(atoms) + "}" if atoms else "∅"
+        return world_texts(self.vocabulary, 1 << self.index)[0]
 
 
 @dataclass(frozen=True, slots=True)
@@ -175,7 +182,7 @@ class BeliefState:
     def __str__(self) -> str:
         if self.mask == 0:
             return "∅"
-        return "{" + ", ".join(str(w) for w in self.worlds()) + "}"
+        return "{" + ", ".join(world_texts(self.vocabulary, self.mask)) + "}"
 
 
 @dataclass(frozen=True, slots=True)
@@ -274,5 +281,5 @@ def leq_p(p1: PartialBeliefState, p2: PartialBeliefState) -> bool:
 
 
 def _require_same_vocabulary(v1: Vocabulary, v2: Vocabulary) -> None:
-    if v1 != v2:
+    if v1 is not v2 and v1 != v2:
         raise VocabularyMismatchError(f"vocabulary mismatch: {v1} vs {v2}")

@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -9,11 +10,22 @@ import pytest
 
 import nmr.cli
 import nmr.semantics
-from nmr.cli import SolveRequest, main, replay_trace_payload, run_check, run_solve
-from nmr.defaults import konolige, parse_default_theory
+from nmr.cli import (
+    SolveRequest,
+    main,
+    replay_trace_payload,
+    run_check,
+    run_solve,
+    solve_payload,
+)
+from nmr.defaults import dl_semantics, konolige, parse_default_theory
+from nmr.operators import OperatorContext
+from nmr.semantics import KK, SOLVERS, WF
 from nmr.syntax import parse_theory
 from nmr.truth import TruthFunctionKind
 from nmr.worlds import BeliefState
+
+from helpers import rand_default_theory, rand_theory
 
 
 def solve(*argv):
@@ -124,6 +136,89 @@ def test_large_trace_replay_reconstructs_results(tmp_path, capsys):
     assert solve("--semantics", "wf", "--input", str(path), "--json", "--trace") == 0
     payload = json.loads(capsys.readouterr().out)
     assert replay_trace_payload(payload) == payload["results"]
+
+
+def _reference_payload(vocabulary, logic, semantics, result, include_trace) -> dict:
+    """The ``--json`` payload as a dict, built from the ``to_json`` methods."""
+    def consequences(worlds):
+        out = []
+        for a in vocabulary.atoms:
+            if all(a in w for w in worlds):
+                out.append(a)
+            elif not any(a in w for w in worlds):
+                out.append("~" + a)
+        return out
+
+    payload = {
+        "vocabulary": list(vocabulary.atoms),
+        "logic": logic,
+        "semantics": semantics,
+        "truth": result.truth.value,
+        "results": [r.to_json() for r in result.results],
+        "objective_consequences": [consequences(r.pp.to_json()) if r.is_total else None
+                                   for r in result.results],
+    }
+    if include_trace:
+        payload["traces"] = [{
+            "initial": {"pp": t.initial.pp.to_json(), "cp": t.initial.cp.to_json()},
+            "steps": [{"kind": s.kind, "status": s.status,
+                       "worlds": BeliefState(vocabulary, s.mask).to_json()} for s in t.steps],
+        } for t in result.traces]
+    return payload
+
+
+def _assert_writer_matches_reference(vocabulary, logic, semantics, result):
+    for include_trace in (False, True):
+        text = solve_payload(vocabulary, logic, semantics, result, include_trace)
+        reference = _reference_payload(vocabulary, logic, semantics, result, include_trace)
+        expected = json.dumps(reference, indent=2)
+        if text != expected:  # outputs run to megabytes: name the first differing line only
+            lines = zip(text.splitlines(), expected.splitlines())
+            k, got, want = next(((k, a, b) for k, (a, b) in enumerate(lines, 1) if a != b),
+                                (None, len(text), len(expected)))
+            pytest.fail(f"{semantics}, trace={include_trace}: line {k}: {got!r} != {want!r}")
+        if include_trace and result.traces:
+            finals = replay_trace_payload(json.loads(text))
+            if result.kind in (KK, WF):
+                assert finals == reference["results"]
+            else:
+                assert [f["pp"] for f in finals] == [r["pp"] for r in reference["results"]]
+
+
+_NAMES = ("b", "a", "B", "_c", "Z", "q10", "q2", "é")
+
+
+def test_json_writer_matches_indented_dumps_on_random_theories():
+    rng = random.Random(6)
+    for _ in range(40):
+        for truth in TruthFunctionKind:
+            n = rng.randint(1, 3 if truth is TruthFunctionKind.SUPERVALUATION else 8)
+            atoms = rng.sample(_NAMES, n)
+            theory = rand_theory(rng, atoms)
+            for semantics in SOLVERS:
+                result = SOLVERS[semantics](OperatorContext(theory, truth))
+                _assert_writer_matches_reference(theory.vocabulary, "ael", semantics, result)
+            dt = rand_default_theory(rng, atoms[:4])
+            for semantics in ("reiter", "weak"):
+                result = dl_semantics(dt, semantics, truth)
+                _assert_writer_matches_reference(dt.vocabulary, "dl", semantics, result)
+
+
+@pytest.mark.parametrize("text, semantics, shape", [
+    ("vocab: b a B _c Z\nK a -> b\n~K B -> _c\nZ | a\n", "stable", "reordered"),
+    ("", "wf", "empty vocabulary"),
+    ("vocab: P\n~K P -> P\n", "expansion", "zero results"),
+    ("vocab: P\nK P -> P\n~K P -> P\n", "kk", "partial result"),
+    ("vocab: " + " ".join(f"A{k}" for k in range(12)) + "\nK A0 -> A1\n", "wf", "12 atoms"),
+])
+def test_json_writer_matches_indented_dumps_on_edge_cases(text, semantics, shape):
+    theory = parse_theory(text)
+    result = SOLVERS[semantics](OperatorContext(theory, TruthFunctionKind.KLEENE))
+    if shape == "zero results":
+        assert result.results == ()
+    if shape == "partial result":
+        assert not result.results[0].is_total
+    _assert_writer_matches_reference(theory.vocabulary, "ael", semantics, result)
 
 
 def test_trace_human_output(corpus, capsys):

@@ -8,6 +8,7 @@ from nmr.worlds import (
     BeliefState,
     PartialBeliefState,
     Vocabulary,
+    World,
     bottom_p,
     enumerate_worlds,
     leq_k,
@@ -152,3 +153,23 @@ def test_display_notation():
     assert str(BeliefState.empty(VPQ)) == "∅"
     assert str(pstate(VP, [(), ("P",)], [("P",)])) == "({∅, {P}}, {{P}})"
     assert str(pstate(VP, [("P",)], [("P",)])) == "{{P}}"
+
+
+def _world_text(vocab: Vocabulary, i: int) -> str:
+    atoms = [a for k, a in enumerate(vocab.atoms) if i >> k & 1]
+    return "{" + ",".join(atoms) + "}" if atoms else "∅"
+
+
+def test_display_strings_match_a_per_atom_reference():
+    rng = random.Random(17)
+    names = ["b", "a", "B", "_c", "Z", "q10", "q2", "x", "Y", "w"]
+    for n in range(11):
+        vocab = Vocabulary(tuple(names[:n]))
+        for mask in [0, 1, vocab.full_mask] + [rng.randrange(vocab.full_mask + 1)
+                                               for _ in range(8)]:
+            worlds = [i for i in range(vocab.world_count) if mask >> i & 1]
+            expected = "{" + ", ".join(_world_text(vocab, i) for i in worlds) + "}"
+            assert str(BeliefState(vocab, mask)) == (expected if mask else "∅")
+        for i in [0, vocab.world_count - 1] + [rng.randrange(vocab.world_count)
+                                               for _ in range(4)]:
+            assert str(World(vocab, i)) == _world_text(vocab, i)
