@@ -41,6 +41,7 @@ from .syntax import (
     objective,
     parse_formula,
     theory_lines,
+    unknown_atom_position,
 )
 from .semantics import EXPANSION, SOLVERS, STABLE, SemanticsResult
 from .truth import TruthFunctionKind, models_mask
@@ -120,8 +121,10 @@ class DefaultTheory:
         )
 
 
-def _parse_objective(text: str, line_no: int) -> Formula:
-    f = parse_formula(text, first_line=line_no)
+def _parse_objective(text: str, line_no: int, start: int = 0) -> Formula:
+    """Parse the segment of a line that begins at index ``start``; it is
+    padded back to there so that error columns are the line's."""
+    f = parse_formula(" " * start + text, first_line=line_no)
     if not objective(f):
         raise ParseError("modal operator not allowed in a default theory file", line_no, 1)
     return f
@@ -143,17 +146,20 @@ def parse_default_theory(text: str) -> DefaultTheory:
             raise ParseError("default is missing ':' before '/'", line_no, 1)
         pre_text, _, just_text = head.partition(":")
         prerequisite = TOP if not pre_text.strip() else _parse_objective(pre_text, line_no)
-        justifications = tuple(
-            _parse_objective(part, line_no)
-            for part in just_text.split(",")
-            if part.strip()
-        )
-        consequent = _parse_objective(cons_text, line_no)
-        defaults.append(Default(prerequisite, justifications, consequent))
+        justifications = []
+        start = len(pre_text) + 1
+        for part in just_text.split(","):
+            if part.strip():
+                justifications.append(_parse_objective(part, line_no, start))
+            start += len(part) + 1
+        consequent = _parse_objective(cons_text, line_no, len(head) + 1)
+        defaults.append(Default(prerequisite, tuple(justifications), consequent))
     try:
         return DefaultTheory.from_parts(facts, defaults, vocabulary)
     except ValueError as exc:
-        raise ParseError(str(exc), 1, 1) from None
+        # The theory checks the facts before the defaults.
+        ordered = sorted(lines, key=lambda item: "/" in item[1])
+        raise ParseError(str(exc), *unknown_atom_position(ordered, vocabulary)) from None
 
 
 def konolige(dt: DefaultTheory) -> Theory:

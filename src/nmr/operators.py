@@ -24,10 +24,11 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .errors import InternalInvariantError
-from .syntax import Theory, only_negative
+from .syntax import Formula, Theory, only_negative
 from .truth import (
     TruthFunctionKind,
-    compiled_theory,
+    _conjunction,
+    _three_valued_knows,
     sv_theory_masks,
 )
 from .worlds import (
@@ -50,9 +51,16 @@ class OperatorContext:
     #: held by nothing else, so it is freed with the context.
     kleene_masks: Callable[[int, int], tuple[int, int]] = field(
         init=False, repr=False, compare=False)
+    #: The closure of K x for each distinct x that lies outside any other
+    #: K (the K-guess slots), recorded while compiling ``kleene_masks``.
+    knows_masks: dict[Formula, Callable[[int, int], tuple[int, int]]] = field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "kleene_masks", compiled_theory(self.theory))
+        knows_masks: dict = {}
+        knows = _three_valued_knows(self.vocabulary, knows_masks)
+        object.__setattr__(self, "kleene_masks", _conjunction(self.theory, knows))
+        object.__setattr__(self, "knows_masks", knows_masks)
 
     @property
     def vocabulary(self) -> Vocabulary:

@@ -16,8 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InternalInvariantError, ResourceCapError
-from .syntax import Knows, collect_modal_subformulas
-from .truth import TruthFunctionKind, formula_status_masks, guess_evaluator
+from .syntax import collect_modal_subformulas
+from .truth import TruthFunctionKind, guess_evaluator
 from .worlds import BeliefState, PartialBeliefState, bottom_p, set_bits
 from .operators import (
     NOT_STABLE,
@@ -157,7 +157,7 @@ def expansion_candidates(ctx: OperatorContext,
     fixed = free = 0
     for i, phi in enumerate(subs):
         if read >> i & 1:
-            is_true, is_false = formula_status_masks(Knows(phi), hi, lo, vocab)
+            is_true, is_false = ctx.knows_masks[phi](hi, lo)
             if is_true:
                 fixed |= 1 << i
             elif not is_false:

@@ -5,7 +5,9 @@ surface syntax and desugared to ``~K ~x`` while parsing; the AST itself
 only ever contains ``K``.
 
 Grammar (precedence high to low; ``->`` right-associative, ``<->``
-non-associative)::
+non-associative).  ``parse_formula`` implements it as one
+operator-precedence loop over an operator and an operand stack, so
+nesting depth costs no recursion::
 
     formula  ::= implied ('<->' implied)?
     implied  ::= clause ('->' implied)?
@@ -164,149 +166,86 @@ class Theory:
 _ATOM_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _RESERVED = {"true", "false", "K", "M"}
 
+#: Every character of a line matches one alternative, so ``finditer``
+#: walks a line without gaps: blanks and a comment are skipped, group 1
+#: is a token and group 2 a character that starts none.
+_TOKEN_RE = re.compile(r"[ \t\r]+|#.*|(<->|->|[~&|()]|[A-Za-z_][A-Za-z0-9_]*)|(.)")
+_KEYWORDS = _RESERVED | {"<->", "->", "~", "&", "|", "(", ")"}
 
-@dataclass(frozen=True, slots=True)
-class _Token:
-    kind: str  # 'atom' | 'true' | 'false' | 'K' | 'M' | '~' | '&' | '|' | '->' | '<->' | '(' | ')' | 'end'
-    text: str
-    line: int
-    column: int
+_UNARY = {"~", "K", "M"}
+_OPERAND = {"atom": Atom, "true": lambda _: TOP, "false": lambda _: BOTTOM}
+#: Binding power of a pending operator; '(' has none and stops reductions.
+_POWER = {"<->": 1, "->": 2, "|": 3, "&": 4, "~": 5, "K": 5, "M": 5}
+#: A binary operator that follows an operand first reduces the pending
+#: operators whose power exceeds this: '&' and '|' their own kind too
+#: (left associative), '->' not (right associative).  Any other token
+#: there reduces everything down to the innermost '('.
+_REDUCES_ABOVE = {"<->": 1, "->": 2, "|": 2, "&": 3}
+_NODE = {"<->": Iff, "->": Implies, "|": Or, "&": And, "~": Not, "K": Knows,
+         "M": lambda sub: Not(Knows(Not(sub)))}
 
 
-def _tokenize(text: str, first_line: int = 1) -> list[_Token]:
-    tokens: list[_Token] = []
-    for offset, raw in enumerate(text.split("\n")):
-        line_no = first_line + offset
-        i = 0
-        while i < len(raw):
-            ch = raw[i]
-            if ch in " \t\r":
-                i += 1
-                continue
-            if ch == "#":
-                break
-            col = i + 1
-            if raw.startswith("<->", i):
-                tokens.append(_Token("<->", "<->", line_no, col))
-                i += 3
-            elif raw.startswith("->", i):
-                tokens.append(_Token("->", "->", line_no, col))
-                i += 2
-            elif ch in "~&|()":
-                tokens.append(_Token(ch, ch, line_no, col))
-                i += 1
-            else:
-                m = _ATOM_RE.match(raw, i)
-                if not m:
-                    raise ParseError(f"unexpected character {ch!r}", line_no, col)
-                word = m.group(0)
-                kind = word if word in _RESERVED else "atom"
-                tokens.append(_Token(kind, word, line_no, col))
-                i += len(word)
-    last_line = first_line + text.count("\n")
-    tokens.append(_Token("end", "", last_line, len(text.split("\n")[-1]) + 1))
+def _tokenize(text: str, first_line: int) -> list[tuple[str, str, int, int]]:
+    """(kind, text, line, column) per token and a last ``end`` token; a
+    keyword's or operator's kind is its text, a name's is ``atom``."""
+    tokens = []
+    lines = text.split("\n")
+    for line_no, line in enumerate(lines, first_line):
+        for m in _TOKEN_RE.finditer(line):
+            word, bad = m.groups()
+            if word:
+                tokens.append((word if word in _KEYWORDS else "atom", word, line_no, m.start() + 1))
+            elif bad:
+                raise ParseError(f"unexpected character {bad!r}", line_no, m.start() + 1)
+    tokens.append(("end", "", first_line + len(lines) - 1, len(lines[-1]) + 1))
     return tokens
 
 
-class _Parser:
-    def __init__(self, tokens: list[_Token]):
-        self.tokens = tokens
-        self.pos = 0
-
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
-
-    def take(self) -> _Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect(self, kind: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise ParseError(self._unexpected(tok, f"expected {kind!r}"), tok.line, tok.column)
-        return self.take()
-
-    @staticmethod
-    def _unexpected(tok: _Token, detail: str) -> str:
-        what = "end of input" if tok.kind == "end" else f"{tok.text!r}"
-        return f"unexpected {what} ({detail})"
-
-    def parse_formula(self) -> Formula:
-        left = self.parse_implied()
-        if self.peek().kind == "<->":
-            self.take()
-            right = self.parse_implied()
-            left = Iff(left, right)
-            tok = self.peek()
-            if tok.kind == "<->":
-                raise ParseError("'<->' is non-associative; parenthesize", tok.line, tok.column)
-        return left
-
-    def parse_implied(self) -> Formula:
-        left = self.parse_clause()
-        if self.peek().kind == "->":
-            self.take()
-            return Implies(left, self.parse_implied())
-        return left
-
-    def parse_clause(self) -> Formula:
-        left = self.parse_term()
-        while self.peek().kind == "|":
-            self.take()
-            left = Or(left, self.parse_term())
-        return left
-
-    def parse_term(self) -> Formula:
-        left = self.parse_unary()
-        while self.peek().kind == "&":
-            self.take()
-            left = And(left, self.parse_unary())
-        return left
-
-    def parse_unary(self) -> Formula:
-        tok = self.peek()
-        if tok.kind == "~":
-            self.take()
-            return Not(self.parse_unary())
-        if tok.kind == "K":
-            self.take()
-            return Knows(self.parse_unary())
-        if tok.kind == "M":
-            self.take()
-            return Not(Knows(Not(self.parse_unary())))
-        if tok.kind == "true":
-            self.take()
-            return TOP
-        if tok.kind == "false":
-            self.take()
-            return BOTTOM
-        if tok.kind == "atom":
-            self.take()
-            return Atom(tok.text)
-        if tok.kind == "(":
-            self.take()
-            inner = self.parse_formula()
-            self.expect(")")
-            return inner
-        raise ParseError(self._unexpected(tok, "expected a formula"), tok.line, tok.column)
+def _unexpected(token: tuple[str, str, int, int], detail: str) -> ParseError:
+    kind, text, line, column = token
+    what = "end of input" if kind == "end" else repr(text)
+    return ParseError(f"unexpected {what} ({detail})", line, column)
 
 
 def parse_formula(text: str, first_line: int = 1) -> Formula:
-    parser = _Parser(_tokenize(text, first_line))
-    formula = parser.parse_formula()
-    tok = parser.peek()
-    if tok.kind != "end":
-        raise ParseError(parser._unexpected(tok, "trailing input"), tok.line, tok.column)
-    return formula
+    """Parse one formula by operator precedence, with explicit stacks in
+    place of recursion; error lines count from ``first_line``."""
+    ops: list[str] = []  # pending operators and open parentheses, innermost last
+    operands: list[Formula] = []
+    want_operand = True
+    for token in _tokenize(text, first_line):
+        kind = token[0]
+        if want_operand:
+            if kind in _UNARY or kind == "(":
+                ops.append(kind)
+            elif kind in _OPERAND:
+                operands.append(_OPERAND[kind](token[1]))
+                want_operand = False
+            else:
+                raise _unexpected(token, "expected a formula")
+            continue
+        floor = _REDUCES_ABOVE.get(kind, 0)
+        while ops and _POWER.get(ops[-1], 0) > floor:
+            op = ops.pop()
+            if op in _UNARY:
+                operands[-1] = _NODE[op](operands[-1])
+            else:
+                right = operands.pop()
+                operands[-1] = _NODE[op](operands[-1], right)
+        if kind in _REDUCES_ABOVE:
+            if kind == "<->" and ops and ops[-1] == "<->":
+                raise ParseError("'<->' is non-associative; parenthesize", token[2], token[3])
+            ops.append(kind)
+            want_operand = True
+        elif kind == ")" and ops:
+            ops.pop()
+        elif kind == "end" and not ops:
+            return operands[0]
+        else:  # only '(' can be left pending
+            raise _unexpected(token, "expected ')'" if ops else "trailing input")
 
 
 _VOCAB_HEADER_RE = re.compile(r"^\s*vocab\s*:", re.IGNORECASE)
-
-
-def _strip_comment(line: str) -> str:
-    cut = line.find("#")
-    return line if cut < 0 else line[:cut]
 
 
 def theory_lines(text: str) -> tuple[Vocabulary | None, list[tuple[int, str]]]:
@@ -321,7 +260,7 @@ def theory_lines(text: str) -> tuple[Vocabulary | None, list[tuple[int, str]]]:
     vocabulary: Vocabulary | None = None
     lines: list[tuple[int, str]] = []
     for line_no, raw in enumerate(text.split("\n"), start=1):
-        line = _strip_comment(raw)
+        line = raw.partition("#")[0]
         if not line.strip():
             continue
         if vocabulary is None and not lines and _VOCAB_HEADER_RE.match(line):
@@ -338,6 +277,17 @@ def theory_lines(text: str) -> tuple[Vocabulary | None, list[tuple[int, str]]]:
     return vocabulary, lines
 
 
+def unknown_atom_position(lines: list[tuple[int, str]],
+                          vocabulary: Vocabulary) -> tuple[int, int]:
+    """Line and column of the first atom not in ``vocabulary``, in parsed
+    theory lines listed in the order the theory checks them."""
+    for line_no, line in lines:
+        for m in _ATOM_RE.finditer(line):
+            if m[0] not in _RESERVED and m[0] not in vocabulary:
+                return line_no, m.start() + 1
+    return 1, 1
+
+
 def parse_theory(text: str) -> Theory:
     """Parse an ``.ael`` theory file."""
     vocabulary, lines = theory_lines(text)
@@ -345,7 +295,7 @@ def parse_theory(text: str) -> Theory:
     try:
         return Theory.from_formulas(formulas, vocabulary)
     except ValueError as exc:
-        raise ParseError(str(exc), 1, 1) from None
+        raise ParseError(str(exc), *unknown_atom_position(lines, vocabulary)) from None
 
 
 # ---------------------------------------------------------------------------

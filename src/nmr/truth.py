@@ -153,14 +153,20 @@ def _compile(f: Formula, vocabulary: Vocabulary, knows):
     return ev if any(map(callable, parts)) else ev(0, 0)
 
 
-def _three_valued_knows(vocabulary: Vocabulary):
+def _three_valued_knows(vocabulary: Vocabulary, table: dict):
     """The K rule of the evaluator, x and y being the (pp, cp) masks:
     K x is true when every pp world satisfies x, false when some cp
-    world falsifies it."""
-    full = vocabulary.full_mask
+    world falsifies it.
 
-    def knows(sub: Formula):
-        part = _compile(sub, vocabulary, knows)
+    Each distinct x that lies outside any other K is compiled once, and
+    the closure of K x is recorded in ``table[x]``.  A K nested deeper
+    is compiled with its enclosing argument and not looked up: hashing a
+    formula walks all of it, so a lookup at every nesting level would
+    cost time quadratic in the depth."""
+    full = vocabulary.full_mask
+    nested = False
+
+    def rule(part):
         if not callable(part):  # an objective x: K x reads only its models
             t, fm = part
             return lambda pp, cp: (full if pp & ~t == 0 else 0, full if fm & cp else 0)
@@ -169,6 +175,17 @@ def _three_valued_knows(vocabulary: Vocabulary):
             t, fm = part(pp, cp)
             return (full if pp & ~t == 0 else 0, full if fm & cp else 0)
 
+        return ev_knows
+
+    def knows(sub: Formula):
+        nonlocal nested
+        if nested:
+            return rule(_compile(sub, vocabulary, knows))
+        ev_knows = table.get(sub)
+        if ev_knows is None:
+            nested = True
+            ev_knows = table[sub] = rule(_compile(sub, vocabulary, knows))
+            nested = False
         return ev_knows
 
     return knows
@@ -201,9 +218,10 @@ def _conjunction(t: Theory, knows):
 def compiled_theory(t: Theory):
     """The closure (pp_mask, cp_mask) -> (true_mask, false_mask) of the
     three-valued theory value.  Nothing caches it: the caller keeps it
-    while it evaluates the theory (``OperatorContext`` for one solve)
-    and it is freed with the caller."""
-    return _conjunction(t, _three_valued_knows(t.vocabulary))
+    while it evaluates the theory and it is freed with the caller.
+    ``OperatorContext`` builds the same closure for one solve and also
+    keeps the table of K closures."""
+    return _conjunction(t, _three_valued_knows(t.vocabulary, {}))
 
 
 def formula_status_masks(f: Formula, pp_mask: int, cp_mask: int,
@@ -220,7 +238,7 @@ def formula_status_masks(f: Formula, pp_mask: int, cp_mask: int,
     monotone in the information order, which the convergence of the
     alternating iteration depends on.
     """
-    part = _compile(f, vocabulary, _three_valued_knows(vocabulary))
+    part = _compile(f, vocabulary, _three_valued_knows(vocabulary, {}))
     return part(pp_mask, cp_mask) if callable(part) else part
 
 

@@ -291,7 +291,8 @@ _JUSTIFIED_1200 = ": " + ", ".join(["P"] * 1200) + " / P"
 
 @pytest.mark.parametrize("command, suffix, formula", [
     pytest.param(["solve", "--semantics", "kk"], ".ael", "~" * 3000 + "P", id="not"),
-    pytest.param(["solve", "--semantics", "kk"], ".ael", "(" * 3000 + "P" + ")" * 3000, id="parens"),
+    pytest.param(["solve", "--semantics", "kk"], ".ael", "~(" * 3000 + "P" + ")" * 3000,
+                 id="not-parens"),
     pytest.param(["solve", "--semantics", "kk"], ".ael", "K " * 3000 + "P", id="knows"),
     pytest.param(["solve", "--semantics", "kk"], ".ael", " & ".join(["P"] * 3000), id="and"),
     pytest.param(["solve", "--semantics", "kk"], ".ael", " -> ".join(["P"] * 3000), id="implies"),
@@ -303,6 +304,21 @@ def test_exit_code_formula_nested_too_deeply(tmp_path, capsys, command, suffix, 
     deep.write_text(f"vocab: P\n{formula}\n")
     assert main([*command, "--input", str(deep)]) == 2
     assert capsys.readouterr().err == "resource cap: formula nested too deeply\n"
+
+
+def test_redundant_parentheses_do_not_nest(tmp_path, capsys):
+    # The parser keeps open parentheses on a stack, so they cost no recursion.
+    deep = tmp_path / "deep.ael"
+    deep.write_text("vocab: P\n" + "(" * 3000 + "P" + ")" * 3000 + "\n")
+    assert solve("--semantics", "kk", "--input", str(deep)) == 0
+    assert capsys.readouterr().out == "vocabulary: P\nkk: TOTAL {{P}}\n"
+    plain = tmp_path / "plain.ael"
+    plain.write_text("vocab: P\nK P\n")
+    deep.write_text("vocab: P\n" + "(" * 400 + "K P" + ")" * 400 + "\n")
+    assert solve("--semantics", "wf", "--input", str(plain)) == 0
+    want = capsys.readouterr().out
+    assert solve("--semantics", "wf", "--input", str(deep)) == 0
+    assert capsys.readouterr().out == want
 
 
 def test_long_flat_conjunction_still_solves(tmp_path, capsys):

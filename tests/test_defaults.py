@@ -65,6 +65,32 @@ def test_parse_rejects_malformed_defaults():
         parse_default_theory("P : Q / R / S\n")
 
 
+@pytest.mark.parametrize("line, message, column", [
+    ("A : B & / C", "unexpected end of input (expected a formula)", 9),
+    (": B / ", "unexpected end of input (expected a formula)", 7),
+    ("A & : B / C", "unexpected end of input (expected a formula)", 5),
+    ("A : B, C $ / C", "unexpected character '$'", 10),
+    (": B, , C ~ / A", "unexpected '~' (trailing input)", 10),
+    ("A : B / C )", "unexpected ')' (trailing input)", 11),
+])
+def test_parse_errors_in_a_default_carry_line_columns(line, message, column):
+    with pytest.raises(ParseError) as err:
+        parse_default_theory(f"vocab: A B C\n{line}\n")
+    assert (err.value.message, err.value.line, err.value.column) == (message, 2, column)
+
+
+@pytest.mark.parametrize("text, name, line, column", [
+    ("vocab: A B\nA\nA : B / D\n", "D", 3, 9),
+    ("vocab: A B\nA : C / B\n# facts come first\nB & D\n", "D", 4, 5),
+    ("vocab: A B\n: A, true, C / B\n", "C", 2, 12),
+])
+def test_an_atom_outside_the_vocabulary_is_reported_where_it_occurs(text, name, line, column):
+    with pytest.raises(ParseError) as err:
+        parse_default_theory(text)
+    assert (err.value.message, err.value.line, err.value.column) == (
+        f"atom {name!r} not in the vocabulary", line, column)
+
+
 def test_konolige_of_a_default():
     dt = parse_default_theory("R : H / H")
     (f,) = konolige(dt).formulas

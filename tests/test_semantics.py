@@ -1,7 +1,9 @@
 import random
+from collections import Counter
 
 import pytest
 
+from nmr import truth
 from nmr.defaults import konolige, parse_default_theory
 from nmr.errors import ResourceCapError
 from nmr.operators import OperatorContext, kk_lfp, klfp_moore
@@ -16,7 +18,7 @@ from nmr.semantics import (
     validate_trace,
     well_founded_extension,
 )
-from nmr.syntax import parse_theory
+from nmr.syntax import modal_polarities, parse_theory
 from nmr.truth import TruthFunctionKind
 from nmr.worlds import Vocabulary, bottom_p, leq_p, set_bits
 
@@ -257,3 +259,22 @@ def test_trace_replay_random_theories():
 def test_kk_trace_steps_are_kk_kind():
     res = kripke_kleene_extension(ctx_of("vocab: P Q\nP\n~K P -> Q\n"))
     assert all(s.kind == STEP_KK for s in res.traces[0].steps)
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_each_k_argument_is_compiled_once_per_solve(monkeypatch, k):
+    # Nixon-shaped, with K r repeated k times.  A compile of a K argument is
+    # a compile of the node an occurrence of K holds (facts hold other nodes).
+    t = parse_theory("vocab: p q r\nq\nr\nK q & ~K ~p -> p\n" + "K r & " * k + "~K p -> ~p\n")
+    k_args = [occ.subformula for occ in modal_polarities(t)]
+    held = {id(x) for x in k_args}
+    compiled = []
+    compile_formula = truth._compile
+
+    def counting(f, vocabulary, knows):
+        compiled.append(f)
+        return compile_formula(f, vocabulary, knows)
+
+    monkeypatch.setattr(truth, "_compile", counting)
+    assert len(stable_extensions(OperatorContext(t)).results) == 2
+    assert Counter(f for f in compiled if id(f) in held) == Counter(set(k_args))

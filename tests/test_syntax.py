@@ -57,6 +57,17 @@ def test_parse_error_on_unbalanced_paren():
         parse_formula("(P & Q")
 
 
+@pytest.mark.parametrize("text, name, line, column", [
+    ("vocab: A\nA\nA -> B\n", "B", 3, 6),
+    ("vocab: A\n\n  K (A | M Z1) # Z2\nZ2\n", "Z1", 3, 12),
+])
+def test_an_atom_outside_the_vocabulary_is_reported_where_it_occurs(text, name, line, column):
+    with pytest.raises(ParseError) as err:
+        parse_theory(text)
+    assert (err.value.message, err.value.line, err.value.column) == (
+        f"atom {name!r} occurs in the theory but not in the vocabulary", line, column)
+
+
 def test_m_desugars_to_not_k_not():
     assert parse_formula("M P") == Not(Knows(Not(P)))
     assert parse_formula("K P & M Q") == And(Knows(P), Not(Knows(Not(Q))))
