@@ -28,10 +28,10 @@ from pathlib import Path
 from .defaults import (
     DL_ALIASES,
     DefaultTheory,
-    align_check,
     dl_semantics,
     konolige,
     parse_default_theory,
+    reiter_extensions,
 )
 from .errors import InternalInvariantError, NmrError, ParseError, ResourceCapError
 from .operators import OperatorContext
@@ -256,7 +256,8 @@ def run_check(path: Path, truth: TruthFunctionKind = TruthFunctionKind.KLEENE,
 
     For a default theory the direct Reiter procedure is compared with
     the stable extensions of the translation, and the oracle battery
-    then runs on the translated theory.
+    then runs on the translated theory.  One context serves every
+    solver and oracle, so the theory is compiled once.
     """
     out = out or sys.stdout
     disagreements: list[str] = []
@@ -264,21 +265,20 @@ def run_check(path: Path, truth: TruthFunctionKind = TruthFunctionKind.KLEENE,
 
     if path.suffix == ".dt":
         dt = _load_dt(path, budget.max_atoms)
-        report = align_check(dt, truth)
-        print(f"aligned: {len(report.reiter)} = {len(report.stable)} extensions", file=out)
-        if not report.aligned:
+        reiter = reiter_extensions(dt)
+        ctx = OperatorContext(konolige(dt), truth)
+        fast_stable = stable_extensions(ctx).belief_states()
+        print(f"aligned: {len(reiter)} = {len(fast_stable)} extensions", file=out)
+        if reiter != fast_stable:
             disagreements.append(
                 "reiter extensions != stable extensions of the translation:\n"
-                f"  direct:     {[str(b) for b in report.reiter]}\n"
-                f"  translated: {[str(b) for b in report.stable]}"
+                f"  direct:     {[str(b) for b in reiter]}\n"
+                f"  translated: {[str(b) for b in fast_stable]}"
             )
-        theory = konolige(dt)
-        fast_stable = list(report.stable)  # align_check solved the translation already
     else:
-        theory = _load_ael(path, budget.max_atoms)
+        ctx = OperatorContext(_load_ael(path, budget.max_atoms), truth)
         fast_stable = None
 
-    ctx = OperatorContext(theory, truth)
     fast_exp = [s.pp for s in expansions(ctx).results]
     brute_exp = brute_expansions(ctx, budget)
     print(f"expansions: fast {len(fast_exp)} = brute {len(brute_exp)}", file=out)

@@ -24,6 +24,7 @@ justification list possibly empty.  Modal operators are not allowed.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator
@@ -124,9 +125,11 @@ class DefaultTheory:
 def _parse_objective(text: str, line_no: int, start: int = 0) -> Formula:
     """Parse the segment of a line that begins at index ``start``; it is
     padded back to there so that error columns are the line's."""
-    f = parse_formula(" " * start + text, first_line=line_no)
+    text = " " * start + text
+    f = parse_formula(text, first_line=line_no)
     if not objective(f):
-        raise ParseError("modal operator not allowed in a default theory file", line_no, 1)
+        column = re.search(r"\b[KM]\b", text).start() + 1  # the first K or M token
+        raise ParseError("modal operator not allowed in a default theory file", line_no, column)
     return f
 
 
@@ -201,7 +204,7 @@ def gamma_operator(dt: DefaultTheory, e: BeliefState) -> BeliefState:
         b = nxt
 
 
-def reiter_extensions(dt: DefaultTheory, max_defaults: int = DEFAULT_SUBSET_CAP) -> list[BeliefState]:
+def reiter_extensions(dt: DefaultTheory) -> list[BeliefState]:
     """All extensions, by checking every consequent-subset candidate.
 
     Every extension is the closure of the facts plus the consequents of
@@ -209,9 +212,9 @@ def reiter_extensions(dt: DefaultTheory, max_defaults: int = DEFAULT_SUBSET_CAP)
     facts + consequent-subsets and keeping the fixpoints of the
     applicability closure is complete.
     """
-    if len(dt.defaults) > max_defaults:
+    if len(dt.defaults) > DEFAULT_SUBSET_CAP:
         raise ResourceCapError(
-            f"{len(dt.defaults)} defaults exceed the subset-enumeration cap {max_defaults}"
+            f"{len(dt.defaults)} defaults exceed the subset-enumeration cap {DEFAULT_SUBSET_CAP}"
         )
     vocab = dt.vocabulary
     facts_mask, _, _, cons = dt._masks

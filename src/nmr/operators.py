@@ -20,17 +20,13 @@
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from typing import Callable
 
 from .errors import InternalInvariantError
 from .syntax import Formula, Theory, only_negative
-from .truth import (
-    TruthFunctionKind,
-    _conjunction,
-    _three_valued_knows,
-    sv_theory_masks,
-)
+from .truth import TruthFunctionKind, sv_theory_masks, theory_closures
 from .worlds import (
     BeliefState,
     PartialBeliefState,
@@ -51,16 +47,25 @@ class OperatorContext:
     #: held by nothing else, so it is freed with the context.
     kleene_masks: Callable[[int, int], tuple[int, int]] = field(
         init=False, repr=False, compare=False)
-    #: The closure of K x for each distinct x that lies outside any other
-    #: K (the K-guess slots), recorded while compiling ``kleene_masks``.
+    #: The guess slots of ``kleene_masks``: the closure of K x for each
+    #: distinct x that lies outside any other K, slot i being the i-th
+    #: key (``truth.theory_closures``).
     knows_masks: dict[Formula, Callable[[int, int], tuple[int, int]]] = field(
         init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        knows_masks: dict = {}
-        knows = _three_valued_knows(self.vocabulary, knows_masks)
-        object.__setattr__(self, "kleene_masks", _conjunction(self.theory, knows))
+        kleene_masks, knows_masks = theory_closures(self.theory)
+        object.__setattr__(self, "kleene_masks", kleene_masks)
         object.__setattr__(self, "knows_masks", knows_masks)
+
+    def kleene_view(self) -> "OperatorContext":
+        """This theory under the three-valued truth function, sharing this
+        context's compiled closures."""
+        if self.truth is TruthFunctionKind.KLEENE:
+            return self
+        view = copy.copy(self)
+        object.__setattr__(view, "truth", TruthFunctionKind.KLEENE)
+        return view
 
     @property
     def vocabulary(self) -> Vocabulary:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .errors import InternalInvariantError, ResourceCapError
 from .syntax import collect_modal_subformulas
-from .truth import TruthFunctionKind, guess_evaluator
+from .truth import TruthFunctionKind
 from .worlds import BeliefState, PartialBeliefState, bottom_p, set_bits
 from .operators import (
     NOT_STABLE,
@@ -131,6 +131,10 @@ def expansion_candidates(ctx: OperatorContext,
     or false is fixed to that value, the undecided ones are enumerated,
     and a reduct whose models fall outside [kk.cp, kk.pp] is dropped.
 
+    Nothing is compiled here: slot i of ``ctx.knows_masks`` is bit i of
+    a guess, and ``ctx.kleene_masks(None, guess)`` is the reduct's value
+    (``truth.theory_closures``).
+
     Complete for expansions, and so for stable extensions (each stable
     extension is an expansion, under either truth function: its stable
     revision removes only worlds false under it, and evaluates its own
@@ -150,28 +154,25 @@ def expansion_candidates(ctx: OperatorContext,
         raise ResourceCapError(
             f"{len(subs)} distinct K-subformulas exceed the guess cap {max_modal}"
         )
-    vocab = ctx.vocabulary
-    kk = kk_lfp(ctx if ctx.truth is TruthFunctionKind.KLEENE else OperatorContext(ctx.theory))
+    kk = kk_lfp(ctx.kleene_view())
     lo, hi = kk.cp.mask, kk.pp.mask
-    reduct_models, read = guess_evaluator(ctx.theory, subs)
     fixed = free = 0
-    for i, phi in enumerate(subs):
-        if read >> i & 1:
-            is_true, is_false = ctx.knows_masks[phi](hi, lo)
-            if is_true:
-                fixed |= 1 << i
-            elif not is_false:
-                free |= 1 << i
+    for i, ev_knows in enumerate(ctx.knows_masks.values()):
+        is_true, is_false = ev_knows(hi, lo)
+        if is_true:
+            fixed |= 1 << i
+        elif not is_false:
+            free |= 1 << i
     masks: set[int] = set()
     choice = 0
     while True:  # every subset of the undecided guess bits, the empty one first
-        m = reduct_models(fixed | choice)
+        m = ctx.kleene_masks(None, fixed | choice)[0]
         if lo & ~m == 0 and m & ~hi == 0:
             masks.add(m)
         choice = (choice - free) & free
         if not choice:
             break
-    return [BeliefState(vocab, m) for m in sorted(masks)]
+    return [BeliefState(ctx.vocabulary, m) for m in sorted(masks)]
 
 
 def expansions(ctx: OperatorContext, max_modal: int = DEFAULT_MODAL_CAP) -> SemanticsResult:

@@ -246,6 +246,7 @@ def parse_formula(text: str, first_line: int = 1) -> Formula:
 
 
 _VOCAB_HEADER_RE = re.compile(r"^\s*vocab\s*:", re.IGNORECASE)
+_WORD_RE = re.compile(r"\S+")
 
 
 def theory_lines(text: str) -> tuple[Vocabulary | None, list[tuple[int, str]]]:
@@ -264,13 +265,16 @@ def theory_lines(text: str) -> tuple[Vocabulary | None, list[tuple[int, str]]]:
         if not line.strip():
             continue
         if vocabulary is None and not lines and _VOCAB_HEADER_RE.match(line):
-            names = line.split(":", 1)[1].split()
-            for name in names:
+            words = [(m[0], m.start() + 1)
+                     for m in _WORD_RE.finditer(line, line.index(":") + 1)]
+            for name, column in words:
                 if not _ATOM_RE.fullmatch(name) or name in _RESERVED:
-                    raise ParseError(f"bad atom name {name!r} in vocab header",
-                                     line_no, line.index(name) + 1)
-            if len(set(names)) != len(names):
-                raise ParseError("duplicate atom in vocab header", line_no, 1)
+                    raise ParseError(f"bad atom name {name!r} in vocab header", line_no, column)
+            names: dict[str, None] = {}
+            for name, column in words:
+                if name in names:
+                    raise ParseError("duplicate atom in vocab header", line_no, column)
+                names[name] = None
             vocabulary = Vocabulary(tuple(names))
             continue
         lines.append((line_no, line))

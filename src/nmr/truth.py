@@ -24,9 +24,14 @@ completions agree on.  It is at least as precise as the three-valued
 evaluation and strictly more precise on case-split tautologies, at the
 cost of 2^u classical passes for u unknown worlds.
 
-``guess_evaluator`` serves the expansion candidates with a second rule:
-each K x outside any other K reads one bit of a guess, so the same
-compiler yields the classical models of every K-guess reduct.
+The same closures give the K-guess reducts behind the expansion
+candidates.  Each distinct x under a K that lies outside any other K is
+a guess slot, numbered in compile order (``theory_closures``).  Called
+as (None, guess), the closure of such a K x returns (full, 0) or
+(0, full) from bit i of guess, i being its slot, and never evaluates x.
+So ``run(None, guess)`` is the value of the reduct, the objective
+theory in which each of those K x is replaced by its guessed value,
+and its true mask is the set of the reduct's models.
 """
 
 from __future__ import annotations
@@ -65,14 +70,6 @@ class TruthValue3(Enum):
     T = "t"
     F = "f"
     U = "u"
-
-    @classmethod
-    def from_bool(cls, b: bool) -> "TruthValue3":
-        return cls.T if b else cls.F
-
-    def leq_p(self, other: "TruthValue3") -> bool:
-        """Precision order: u below both t and f, t and f incomparable."""
-        return self is TruthValue3.U or self is other
 
     def __str__(self) -> str:
         return self.value
@@ -153,25 +150,35 @@ def _compile(f: Formula, vocabulary: Vocabulary, knows):
     return ev if any(map(callable, parts)) else ev(0, 0)
 
 
-def _three_valued_knows(vocabulary: Vocabulary, table: dict):
+def _three_valued_knows(vocabulary: Vocabulary, slots: dict):
     """The K rule of the evaluator, x and y being the (pp, cp) masks:
     K x is true when every pp world satisfies x, false when some cp
     world falsifies it.
 
     Each distinct x that lies outside any other K is compiled once, and
-    the closure of K x is recorded in ``table[x]``.  A K nested deeper
-    is compiled with its enclosing argument and not looked up: hashing a
-    formula walks all of it, so a lookup at every nesting level would
-    cost time quadratic in the depth."""
+    the closure of K x is recorded in ``slots[x]``.  Its insertion index
+    is its guess slot: called as (None, guess), it reads that bit of the
+    guess.  A K nested deeper is compiled with its enclosing argument
+    and not looked up: hashing a formula walks all of it, so a lookup at
+    every nesting level would cost time quadratic in the depth."""
     full = vocabulary.full_mask
+    on, off = (full, 0), (0, full)
     nested = False
 
-    def rule(part):
+    def rule(part, slot=None):
         if not callable(part):  # an objective x: K x reads only its models
             t, fm = part
-            return lambda pp, cp: (full if pp & ~t == 0 else 0, full if fm & cp else 0)
+
+            def ev_objective(pp, cp):
+                if pp is None:
+                    return on if cp >> slot & 1 else off
+                return (full if pp & ~t == 0 else 0, full if fm & cp else 0)
+
+            return ev_objective
 
         def ev_knows(pp, cp):
+            if pp is None:
+                return on if cp >> slot & 1 else off
             t, fm = part(pp, cp)
             return (full if pp & ~t == 0 else 0, full if fm & cp else 0)
 
@@ -181,10 +188,10 @@ def _three_valued_knows(vocabulary: Vocabulary, table: dict):
         nonlocal nested
         if nested:
             return rule(_compile(sub, vocabulary, knows))
-        ev_knows = table.get(sub)
+        ev_knows = slots.get(sub)
         if ev_knows is None:
             nested = True
-            ev_knows = table[sub] = rule(_compile(sub, vocabulary, knows))
+            ev_knows = slots[sub] = rule(_compile(sub, vocabulary, knows), len(slots))
             nested = False
         return ev_knows
 
@@ -215,13 +222,20 @@ def _conjunction(t: Theory, knows):
     return run
 
 
+def theory_closures(t: Theory):
+    """The theory compiled once: the closure (pp_mask, cp_mask) ->
+    (true_mask, false_mask) of its three-valued value, and its guess
+    slots, the dict from each distinct x under a K outside any other K
+    to the closure of K x, slot i being the i-th key.  Nothing caches
+    them: the caller keeps them while it evaluates the theory and they
+    are freed with the caller, as ``OperatorContext`` does for a solve."""
+    slots: dict = {}
+    return _conjunction(t, _three_valued_knows(t.vocabulary, slots)), slots
+
+
 def compiled_theory(t: Theory):
-    """The closure (pp_mask, cp_mask) -> (true_mask, false_mask) of the
-    three-valued theory value.  Nothing caches it: the caller keeps it
-    while it evaluates the theory and it is freed with the caller.
-    ``OperatorContext`` builds the same closure for one solve and also
-    keeps the table of K closures."""
-    return _conjunction(t, _three_valued_knows(t.vocabulary, {}))
+    """The closure of the three-valued theory value (``theory_closures``)."""
+    return theory_closures(t)[0]
 
 
 def formula_status_masks(f: Formula, pp_mask: int, cp_mask: int,
@@ -293,34 +307,6 @@ def models(formulas, vocabulary: Vocabulary) -> BeliefState:
     for f in formulas:
         mask &= models_mask(f, vocabulary)
     return BeliefState(vocabulary, mask)
-
-
-# ---------------------------------------------------------------------------
-# Evaluation under a K-guess
-# ---------------------------------------------------------------------------
-
-def guess_evaluator(t: Theory, guessed: tuple[Formula, ...]):
-    """Compile the K-guess reducts of t into one closure.
-
-    Returns ``(run, read)``: ``run(guess)`` is the mask of the models of
-    the objective theory obtained by replacing every K x that lies
-    outside any other K with bit i of ``guess``, where ``guessed[i] ==
-    x``; ``read`` is the mask of the guess bits that can matter.  A K
-    nested inside another one is never read.
-    """
-    bit_of = {x: i for i, x in enumerate(guessed)}
-    full = t.vocabulary.full_mask
-    on, off = (full, 0), (0, full)
-    read = 0
-
-    def knows(sub: Formula):
-        nonlocal read
-        i = bit_of[sub]
-        read |= 1 << i
-        return lambda guess, _: on if guess >> i & 1 else off
-
-    reduct = _conjunction(t, knows)
-    return (lambda guess: reduct(guess, 0)[0]), read
 
 
 # ---------------------------------------------------------------------------

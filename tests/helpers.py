@@ -18,7 +18,19 @@ from nmr.syntax import (
     Or,
     Theory,
 )
+from nmr.truth import TruthValue3
 from nmr.worlds import BeliefState, PartialBeliefState, Vocabulary, World
+
+
+# --- truth values -----------------------------------------------------------
+
+def truth_value(b: bool) -> TruthValue3:
+    return TruthValue3.T if b else TruthValue3.F
+
+
+def value_leq_p(a: TruthValue3, b: TruthValue3) -> bool:
+    """Precision order on truth values: u below both t and f, t and f incomparable."""
+    return a is TruthValue3.U or a is b
 
 
 # --- explicit state constructors -------------------------------------------

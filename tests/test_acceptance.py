@@ -38,6 +38,8 @@ from helpers import (
     rand_partial_state,
     rand_theory,
     refine,
+    truth_value,
+    value_leq_p,
 )
 
 KLEENE = TruthFunctionKind.KLEENE
@@ -185,13 +187,13 @@ def test_c11_truth_function_precision_monotonicity():
         pb1 = rand_partial_state(rng, vocab)
         pb2 = refine(rng, pb1)
         for w in BeliefState.full(vocab).worlds():
-            assert eval_kleene(pb1, w, f).leq_p(eval_kleene(pb2, w, f))
+            assert value_leq_p(eval_kleene(pb1, w, f), eval_kleene(pb2, w, f))
     for _ in range(60):
         t = rand_theory(rng, ["P", "Q"])
         pb1 = rand_partial_state(rng, VPQ)
         pb2 = refine(rng, pb1)
         for w in BeliefState.full(VPQ).worlds():
-            assert eval_sv(pb1, w, t).leq_p(eval_sv(pb2, w, t))
+            assert value_leq_p(eval_sv(pb1, w, t), eval_sv(pb2, w, t))
 
 
 def test_c11_supervaluation_dominates_kleene():
@@ -200,7 +202,7 @@ def test_c11_supervaluation_dominates_kleene():
         t = rand_theory(rng, ["P", "Q"])
         pb = rand_partial_state(rng, VPQ)
         for w in BeliefState.full(VPQ).worlds():
-            assert eval_kleene_theory(pb, w, t).leq_p(eval_sv(pb, w, t))
+            assert value_leq_p(eval_kleene_theory(pb, w, t), eval_sv(pb, w, t))
 
 
 def test_c11_total_state_agreement_with_s5():
@@ -210,7 +212,7 @@ def test_c11_total_state_agreement_with_s5():
         b = BeliefState(VPQ, rng.randrange(VPQ.full_mask + 1))
         pb = PartialBeliefState.total(b)
         for w in BeliefState.full(VPQ).worlds():
-            classical = TruthValue3.from_bool(all(eval_s5(b, w, f) for f in t.formulas))
+            classical = truth_value(all(eval_s5(b, w, f) for f in t.formulas))
             assert eval_kleene_theory(pb, w, t) is classical
             assert eval_sv(pb, w, t) is classical
 

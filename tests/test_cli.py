@@ -4,12 +4,14 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import nmr.cli
 import nmr.semantics
+import nmr.truth
 from nmr.cli import (
     SolveRequest,
     main,
@@ -21,7 +23,7 @@ from nmr.cli import (
 from nmr.defaults import dl_semantics, konolige, parse_default_theory
 from nmr.operators import OperatorContext
 from nmr.semantics import KK, SOLVERS, WF
-from nmr.syntax import parse_theory
+from nmr.syntax import objective, parse_theory
 from nmr.truth import TruthFunctionKind
 from nmr.worlds import BeliefState
 
@@ -464,3 +466,39 @@ def test_one_process_reuses_the_parser_like_fresh_processes(corpus, capsys, monk
     in_process = [_in_process(argv, capsys) for argv in calls]
     assert [code for code, _, _ in in_process] == [2, 2, 0, 0, 0, 0]
     assert in_process == [_fresh_process(argv) for argv in calls]
+
+
+COMPILE_COUNT_INPUTS = {
+    ".ael": "vocab: P Q R\nK P -> P\n~K Q -> R\nK (K P | Q) | ~K ~R\n",
+    ".dt": "vocab: A B C\nA\nA : B / B\nB : C / C\n: ~C / ~B\n",
+}
+COMPILE_COUNT_CALLS = [
+    pytest.param(suffix, argv, id=" ".join([*argv, suffix]))
+    for suffix, argv in [
+        *[(suffix, ["solve", "--semantics", sem, "--truth", truth])
+          for truth in ("kleene", "sv")
+          for suffix, semantics in ((".ael", SOLVERS), (".dt", [*SOLVERS, "reiter", "weak"]))
+          for sem in semantics],
+        *[(suffix, ["check", "--truth", truth])
+          for truth in ("kleene", "sv") for suffix in (".ael", ".dt")],
+    ]
+]
+
+
+@pytest.mark.parametrize("suffix, argv", COMPILE_COUNT_CALLS)
+def test_each_modal_formula_is_compiled_once_per_command(tmp_path, monkeypatch, suffix, argv):
+    text = COMPILE_COUNT_INPUTS[suffix]
+    theory = konolige(parse_default_theory(text)) if suffix == ".dt" else parse_theory(text)
+    modal = [f for f in theory.formulas if not objective(f)]
+    path = tmp_path / f"theory{suffix}"
+    path.write_text(text)
+    compiled = []
+    compile_formula = nmr.truth._compile
+
+    def counting(f, vocabulary, knows):
+        compiled.append(f)
+        return compile_formula(f, vocabulary, knows)
+
+    monkeypatch.setattr(nmr.truth, "_compile", counting)
+    assert main([*argv, "--input", str(path)]) == 0
+    assert Counter(f for f in compiled if f in modal) == Counter(modal)

@@ -72,6 +72,9 @@ def test_parse_rejects_malformed_defaults():
     ("A : B, C $ / C", "unexpected character '$'", 10),
     (": B, , C ~ / A", "unexpected '~' (trailing input)", 10),
     ("A : B / C )", "unexpected ')' (trailing input)", 11),
+    ("A : K B / C", "modal operator not allowed in a default theory file", 5),
+    ("A : B / M C", "modal operator not allowed in a default theory file", 9),
+    ("A & K B", "modal operator not allowed in a default theory file", 5),
 ])
 def test_parse_errors_in_a_default_carry_line_columns(line, message, column):
     with pytest.raises(ParseError) as err:

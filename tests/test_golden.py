@@ -3,8 +3,10 @@
 ``tests/golden/corpus.json`` records, for every corpus file, the exit
 code and stdout of ``nmr solve`` under every semantics and truth
 function in human, ``--json`` and ``--json --trace`` form, and of
-``nmr check`` under its default truth function.  Any change to what the
-command line prints for these inputs fails here.
+``nmr check`` under its default truth function and, on files of at
+most ``SV_CHECK_ATOMS`` atoms, under ``--truth sv`` (its oracles
+case-split every candidate world set, which takes minutes at 4 atoms).
+Any change to what the command line prints for these inputs fails here.
 
 Regenerate the snapshots (only for an intended output change) with::
 
@@ -23,6 +25,8 @@ from pathlib import Path
 import pytest
 
 from nmr.cli import main
+from nmr.defaults import parse_default_theory
+from nmr.syntax import parse_theory
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden" / "corpus.json"
@@ -31,6 +35,12 @@ AEL_SEMANTICS = ("kk", "expansion", "stable", "wf")
 DT_SEMANTICS = ("kk", "expansion", "stable", "wf", "reiter", "weak")
 TRUTHS = ("kleene", "sv")
 FORMS = {"human": (), "json": ("--json",), "json-trace": ("--json", "--trace")}
+SV_CHECK_ATOMS = 3
+
+
+def atom_count(path: Path) -> int:
+    parse = parse_default_theory if path.suffix == ".dt" else parse_theory
+    return len(parse(path.read_text(encoding="utf-8")).vocabulary)
 
 
 @functools.cache
@@ -46,6 +56,8 @@ def cases() -> dict[str, list[str]]:
                     out[f"solve {path.name} {sem} {truth} {form}"] = [
                         "solve", "--semantics", sem, "--truth", truth, "--input", rel, *flags]
         out[f"check {path.name}"] = ["check", "--input", rel]
+        if atom_count(path) <= SV_CHECK_ATOMS:
+            out[f"check {path.name} sv"] = ["check", "--truth", "sv", "--input", rel]
     return out
 
 

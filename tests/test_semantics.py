@@ -3,7 +3,7 @@ from collections import Counter
 
 import pytest
 
-from nmr import truth
+from nmr import truth as truth_module
 from nmr.defaults import konolige, parse_default_theory
 from nmr.errors import ResourceCapError
 from nmr.operators import OperatorContext, kk_lfp, klfp_moore
@@ -261,20 +261,23 @@ def test_kk_trace_steps_are_kk_kind():
     assert all(s.kind == STEP_KK for s in res.traces[0].steps)
 
 
+@pytest.mark.parametrize("truth", list(TruthFunctionKind))
 @pytest.mark.parametrize("k", [1, 3])
-def test_each_k_argument_is_compiled_once_per_solve(monkeypatch, k):
+def test_each_k_argument_is_compiled_once_per_solve(monkeypatch, k, truth):
     # Nixon-shaped, with K r repeated k times.  A compile of a K argument is
-    # a compile of the node an occurrence of K holds (facts hold other nodes).
+    # a compile of the node an occurrence of K holds, and a compile of a
+    # formula of the theory one of the node the theory holds.
     t = parse_theory("vocab: p q r\nq\nr\nK q & ~K ~p -> p\n" + "K r & " * k + "~K p -> ~p\n")
     k_args = [occ.subformula for occ in modal_polarities(t)]
-    held = {id(x) for x in k_args}
+    held = {id(x) for x in (*k_args, *t.formulas)}
     compiled = []
-    compile_formula = truth._compile
+    compile_formula = truth_module._compile
 
     def counting(f, vocabulary, knows):
         compiled.append(f)
         return compile_formula(f, vocabulary, knows)
 
-    monkeypatch.setattr(truth, "_compile", counting)
-    assert len(stable_extensions(OperatorContext(t)).results) == 2
-    assert Counter(f for f in compiled if id(f) in held) == Counter(set(k_args))
+    monkeypatch.setattr(truth_module, "_compile", counting)
+    assert len(stable_extensions(OperatorContext(t, truth)).results) == 2
+    expect = Counter(set(k_args)) + Counter(t.formulas)
+    assert Counter(f for f in compiled if id(f) in held) == expect

@@ -129,6 +129,13 @@ def test_theory_duplicate_vocab_atom_is_an_error():
         parse_theory("vocab: A A\nA\n")
 
 
+def test_duplicate_vocab_atom_is_reported_at_its_second_occurrence():
+    with pytest.raises(ParseError) as err:
+        parse_theory("vocab: A B A\nA\n")
+    assert (err.value.message, err.value.line, err.value.column) == (
+        "duplicate atom in vocab header", 1, 12)
+
+
 def test_theory_construction_checks_vocabulary():
     with pytest.raises(ValueError):
         Theory(Vocabulary(("P",)), (Q,))

@@ -34,7 +34,6 @@ from nmr.truth import (
     eval_sv,
     eval_sv_formula,
     formula_status_masks,
-    guess_evaluator,
     models,
     models_mask,
 )
@@ -47,6 +46,8 @@ from helpers import (
     rand_partial_state,
     rand_theory,
     refine,
+    truth_value,
+    value_leq_p,
     world,
 )
 
@@ -133,7 +134,7 @@ def test_eval_sv_on_total_state_matches_s5():
         pb = PartialBeliefState.total(b)
         for w in BeliefState.full(VPQ).worlds():
             expect = all(eval_s5(b, w, f) for f in t.formulas)
-            assert eval_sv(pb, w, t) is TruthValue3.from_bool(expect)
+            assert eval_sv(pb, w, t) is truth_value(expect)
 
 
 def test_eval_sv_truth_sayer_splits():
@@ -158,7 +159,7 @@ def test_total_state_agreement_with_s5():
         b = BeliefState(VPQ, rng.randrange(VPQ.full_mask + 1))
         pb = PartialBeliefState.total(b)
         for w in BeliefState.full(VPQ).worlds():
-            expect = TruthValue3.from_bool(eval_s5(b, w, f))
+            expect = truth_value(eval_s5(b, w, f))
             assert eval_kleene(pb, w, f) is expect
 
 
@@ -171,13 +172,13 @@ def test_precision_monotonicity_kleene_and_sv():
         pb1 = rand_partial_state(rng, vocab)
         pb2 = refine(rng, pb1)
         for w in BeliefState.full(vocab).worlds():
-            assert eval_kleene(pb1, w, f).leq_p(eval_kleene(pb2, w, f))
+            assert value_leq_p(eval_kleene(pb1, w, f), eval_kleene(pb2, w, f))
     for _ in range(80):
         t = rand_theory(rng, ["P", "Q"])
         pb1 = rand_partial_state(rng, small)
         pb2 = refine(rng, pb1)
         for w in BeliefState.full(small).worlds():
-            assert eval_sv(pb1, w, t).leq_p(eval_sv(pb2, w, t))
+            assert value_leq_p(eval_sv(pb1, w, t), eval_sv(pb2, w, t))
 
 
 def test_supervaluation_dominates_kleene():
@@ -186,7 +187,7 @@ def test_supervaluation_dominates_kleene():
         t = rand_theory(rng, ["P", "Q"])
         pb = rand_partial_state(rng, VPQ)
         for w in BeliefState.full(VPQ).worlds():
-            assert eval_kleene_theory(pb, w, t).leq_p(eval_sv(pb, w, t))
+            assert value_leq_p(eval_kleene_theory(pb, w, t), eval_sv(pb, w, t))
 
 
 def test_kleene_knowledge_value_is_world_independent():
@@ -266,15 +267,15 @@ def _outermost_k_args(f):
     return [x for c in children(f) for x in _outermost_k_args(c)]
 
 
-def _reduct(f, subs, guess):
-    """f with every K x outside any other K replaced by bit subs.index(x)
+def _reduct(f, slots, guess):
+    """f with every K x outside any other K replaced by bit slots.index(x)
     of the guess."""
     if isinstance(f, Knows):
-        return TOP if guess >> subs.index(f.sub) & 1 else BOTTOM
+        return TOP if guess >> slots.index(f.sub) & 1 else BOTTOM
     if isinstance(f, Not):
-        return Not(_reduct(f.sub, subs, guess))
+        return Not(_reduct(f.sub, slots, guess))
     if children(f):
-        return type(f)(_reduct(f.left, subs, guess), _reduct(f.right, subs, guess))
+        return type(f)(_reduct(f.left, slots, guess), _reduct(f.right, slots, guess))
     return f
 
 
@@ -298,21 +299,20 @@ def test_compiled_masks_match_a_node_by_node_reference_on_every_mask_pair():
     assert nested and folded
 
 
-def test_guess_evaluator_matches_the_substituted_reducts():
+def test_guessed_kleene_masks_match_the_substituted_reducts():
     rng = random.Random(101)
     nested = 0
     for _ in range(150):
         t = rand_theory(rng, ["P", "Q"], max_formulas=4, depth=4)
-        subs = collect_modal_subformulas(t)
-        run, read = guess_evaluator(t, subs)
-        outer = [x for f in t.formulas for x in _outermost_k_args(f)]
-        assert read == sum({1 << subs.index(x) for x in outer})
-        nested += len(set(outer)) < len(subs)
-        for guess in range(1 << len(subs)):
+        slots = list(dict.fromkeys(x for f in t.formulas for x in _outermost_k_args(f)))
+        ctx = OperatorContext(t)
+        assert list(ctx.knows_masks) == slots
+        nested += len(slots) < len(collect_modal_subformulas(t))
+        for guess in range(1 << len(slots)):
             expect = VPQ.full_mask
             for f in t.formulas:
-                expect &= _reference_masks(_reduct(f, subs, guess), 0, 0, VPQ)[0]
-            assert run(guess) == expect
+                expect &= _reference_masks(_reduct(f, slots, guess), 0, 0, VPQ)[0]
+            assert ctx.kleene_masks(None, guess)[0] == expect
     assert nested
 
 
@@ -321,10 +321,7 @@ def test_compiled_theories_are_freed_with_their_holders(truth):
     t = parse_theory("vocab: P Q\nK P -> P\n~K ~Q -> Q\nK (P | Q) | ~K Q\n")
     ctx = OperatorContext(t, truth)
     assert expansions(ctx).results and stable_extensions(ctx).results
-    subs = collect_modal_subformulas(t)
     held = weakref.ref(ctx.kleene_masks)
-    reducts = weakref.ref(guess_evaluator(t, subs)[0])
-    del ctx, t, subs
+    del ctx, t
     gc.collect()
     assert held() is None
-    assert reducts() is None
