@@ -52,11 +52,19 @@ class OperatorContext:
     #: key (``truth.theory_closures``).
     knows_masks: dict[Formula, Callable[[int, int], tuple[int, int]]] = field(
         init=False, repr=False, compare=False)
+    #: The models of the theory's objective members, which
+    #: ``kleene_masks`` folds into its starting masks.
+    objective_mask: int = field(init=False, repr=False, compare=False)
+    #: The (reads, closure) pair of every other member, in theory order:
+    #: bit i of reads is set iff the member reads guess slot i, and
+    #: ``closure(None, guess)`` is the member's reduct value.
+    formula_reads: list[tuple[int, Callable[[int, int], tuple[int, int]]]] = field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        kleene_masks, knows_masks = theory_closures(self.theory)
-        object.__setattr__(self, "kleene_masks", kleene_masks)
-        object.__setattr__(self, "knows_masks", knows_masks)
+        names = ("kleene_masks", "knows_masks", "objective_mask", "formula_reads")
+        for name, value in zip(names, theory_closures(self.theory)):
+            object.__setattr__(self, name, value)
 
     def kleene_view(self) -> "OperatorContext":
         """This theory under the three-valued truth function, sharing this

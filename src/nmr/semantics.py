@@ -29,7 +29,7 @@ from .operators import (
     stable_revision,
 )
 
-#: Upper bound on distinct K-subformulas for the 2^m expansion guess loop.
+#: Upper bound on distinct K-subformulas for the K-guess search.
 DEFAULT_MODAL_CAP = 20
 
 KK = "kk"
@@ -121,33 +121,71 @@ def kripke_kleene_extension(ctx: OperatorContext) -> SemanticsResult:
 
 def expansion_candidates(ctx: OperatorContext,
                          max_modal: int = DEFAULT_MODAL_CAP) -> list[BeliefState]:
-    """Model sets of the K-guess reducts the Kripke-Kleene state allows,
-    deduplicated, mask-ascending.
+    """The expansions of the theory, each once, mask-ascending, found by
+    a depth-first search over K-guesses.
 
     A guess gives a truth value to every K x that lies outside any other
-    K; the reduct replaces each of those by its value, which leaves an
-    objective theory.  Only guesses that agree with the three-valued
-    (Kleene) Kripke-Kleene state kk are tried: a K x that kk makes true
-    or false is fixed to that value, the undecided ones are enumerated,
-    and a reduct whose models fall outside [kk.cp, kk.pp] is dropped.
+    K, bit i to slot i of ``ctx.knows_masks``; the reduct replaces each
+    of those by its value, which leaves an objective theory.  For each
+    member of the theory that is not objective, ``ctx.formula_reads``
+    holds the slots it reads and its closure, and ``closure(None,
+    guess)[0]`` is the model set of its reduct (``truth.theory_closures``).
+    Nothing is compiled here.
 
-    Nothing is compiled here: slot i of ``ctx.knows_masks`` is bit i of
-    a guess, and ``ctx.kleene_masks(None, guess)`` is the reduct's value
-    (``truth.theory_closures``).
+    The three-valued (Kleene) Kripke-Kleene state kk = (hi, lo) fixes
+    every K x it makes true or false to that value.  The undecided
+    slots are then guessed depth first, in slot order, from an explicit
+    stack.  A node at depth d has the first d undecided slots guessed
+    and holds the mask of the members complete so far.  The root mask
+    is the models of the objective members and of every member that
+    reads no undecided slot, evaluated once at the fixed guess.  Any
+    other member is ANDed in at the depth of its last undecided slot,
+    so a node costs only the members that complete there.
 
-    Complete for expansions, and so for stable extensions (each stable
-    extension is an expansion, under either truth function: its stable
-    revision removes only worlds false under it, and evaluates its own
-    worlds to true).  Let E be an expansion.  The total state (E, E) is
-    a fixpoint of the Kleene revision, which agrees with the one-step
-    revision on total states, and kk is that revision's least fixpoint
-    in the precision order, so kk <=_p (E, E): cp <= E <= pp.  Kleene
-    evaluation is precision-monotone, so every K x that kk decides has
-    that same value under E.  The guess E induces therefore agrees with
-    the fixed values, and under it the theory reduces to an objective
-    theory whose models are exactly E.  Both the enumeration and the
-    interval filter keep E.  Sound in the weaker sense needed here: a
-    candidate is only a candidate, and the callers test each one.
+    A node, the root included, is dropped in two cases.  (1) Its mask
+    loses a world of lo: masks only shrink down the tree, so no leaf
+    below it contains lo, and every expansion does (below).  (2) Its
+    mask is 0 while a decided guess bit is 0: every leaf below has the
+    empty mask, where every K x reads true, so the leaf test fails on
+    that bit.  A leaf, a total guess g whose reduct has the models m,
+    is kept iff m lies in hi and the K x of every undecided slot, read
+    at (m, m), returns its bit of g.
+
+    The leaves kept are exactly the expansions, each once.  For a belief
+    state E let g_E be the guess it induces, bit i being the value of
+    slot i's K x at (E, E).  Such a K x is world-independent, so on the
+    total state (E, E) the theory takes its g_E-reduct's value:
+    ``moore_step`` maps E to the models of the g_E-reduct.
+
+    * Sound.  A kept leaf (g, m) has lo <= m (case 1 at every level)
+      and m <= hi, so (m, m) is at least as precise as kk.  Kleene
+      evaluation is precision-monotone, so every fixed slot reads at
+      (m, m) the value kk gave it, and the leaf test checks the other
+      slots: g = g_m.  Then ``moore_step`` maps m to the models of the
+      g-reduct, which is m, and m is an expansion.
+    * Complete.  Let E be an expansion.  The total state (E, E) is a
+      fixpoint of the Kleene revision, which agrees with the one-step
+      revision on total states, and kk is that revision's least fixpoint
+      in the precision order, so kk <=_p (E, E): lo <= E <= hi.
+      Precision monotonicity again gives g_E the value kk fixed on every
+      slot kk decides, so the search reaches each prefix of g_E.  Each
+      node on that path ANDs the g_E-reduct values of some members, so
+      its mask contains their conjunction E, and with it lo: case 1
+      never drops it.  If the mask is 0, then E is empty and g_E is all
+      true, so case 2 never drops it either.  At the leaf m = E, which
+      lies in hi, and g_E = g_m: the leaf is kept.
+    * Once.  A kept leaf has g = g_m, so two kept leaves with one mask
+      have one guess, and the search visits each guess at most once.
+
+    An expansion does not depend on the truth function (``moore_step``
+    reads total states only), and every stable extension is an
+    expansion under either one: its stable revision removes only worlds
+    false under it, and evaluates its own worlds to true.
+
+    The ``collect_modal_subformulas`` walk stays only as the guess cap:
+    it counts the distinct K arguments, nested ones included, which the
+    compile's slots do not, and the benchmark's ``semantics.guesses``
+    counter reads that function's result.
     """
     subs = collect_modal_subformulas(ctx.theory)
     if len(subs) > max_modal:
@@ -156,27 +194,56 @@ def expansion_candidates(ctx: OperatorContext,
         )
     kk = kk_lfp(ctx.kleene_view())
     lo, hi = kk.cp.mask, kk.pp.mask
-    fixed = free = 0
-    for i, ev_knows in enumerate(ctx.knows_masks.values()):
+    knows = list(ctx.knows_masks.values())
+    fixed = 0
+    undecided: list[int] = []
+    for i, ev_knows in enumerate(knows):
         is_true, is_false = ev_knows(hi, lo)
         if is_true:
             fixed |= 1 << i
         elif not is_false:
-            free |= 1 << i
-    masks: set[int] = set()
-    choice = 0
-    while True:  # every subset of the undecided guess bits, the empty one first
-        m = ctx.kleene_masks(None, fixed | choice)[0]
-        if lo & ~m == 0 and m & ~hi == 0:
-            masks.add(m)
-        choice = (choice - free) & free
-        if not choice:
-            break
-    return [BeliefState(ctx.vocabulary, m) for m in sorted(masks)]
+            undecided.append(i)
+    # the undecided bits still unguessed at each depth
+    pending = [sum(1 << i for i in undecided[d:]) for d in range(len(undecided) + 1)]
+    depth_of = {slot: d for d, slot in enumerate(undecided, 1)}
+    completes: list[list] = [[] for _ in pending]
+    root = ctx.objective_mask
+    for reads, part in ctx.formula_reads:
+        open_reads = reads & pending[0]
+        if open_reads:
+            completes[depth_of[open_reads.bit_length() - 1]].append(part)
+        else:
+            root &= part(None, fixed)[0]
+    every = (1 << len(knows)) - 1
+
+    def dropped(d: int, guess: int, mask: int) -> bool:
+        return bool(lo & ~mask) or (not mask and guess | pending[d] != every)
+
+    found = []
+    stack = [] if dropped(0, fixed, root) else [(0, fixed, root)]
+    while stack:
+        d, guess, mask = stack.pop()
+        if d == len(undecided):
+            if mask & ~hi == 0 and all(
+                    bool(knows[i](mask, mask)[0]) == bool(guess >> i & 1) for i in undecided):
+                found.append(mask)
+            continue
+        bit = 1 << undecided[d]
+        d += 1
+        for child in (guess, guess | bit):
+            m = mask
+            for part in completes[d]:
+                m &= part(None, child)[0]
+            if not dropped(d, child, m):
+                stack.append((d, child, m))
+    return [BeliefState(ctx.vocabulary, m) for m in sorted(found)]
 
 
 def expansions(ctx: OperatorContext, max_modal: int = DEFAULT_MODAL_CAP) -> SemanticsResult:
-    """All total belief states the one-step revision maps to themselves."""
+    """All total belief states the one-step revision maps to themselves.
+
+    Every candidate already is one; the test is the definition itself,
+    re-checked at one revision per expansion."""
     found = [b for b in expansion_candidates(ctx, max_modal) if moore_step(ctx, b) == b]
     return SemanticsResult(EXPANSION, ctx.truth,
                            tuple(PartialBeliefState.total(b) for b in found))
@@ -187,9 +254,9 @@ def expansions(ctx: OperatorContext, max_modal: int = DEFAULT_MODAL_CAP) -> Sema
 # ---------------------------------------------------------------------------
 
 def stable_extensions(ctx: OperatorContext, max_modal: int = DEFAULT_MODAL_CAP) -> SemanticsResult:
-    """Candidates come from the expansion guesses (stable states are
-    always fixpoints of the one-step revision); each is kept iff its
-    stable revision reproduces it."""
+    """The candidates are the expansions (stable states are always
+    fixpoints of the one-step revision); each is kept iff its stable
+    revision reproduces it."""
     results = []
     traces = []
     full = BeliefState.full(ctx.vocabulary)

@@ -31,7 +31,10 @@ as (None, guess), the closure of such a K x returns (full, 0) or
 (0, full) from bit i of guess, i being its slot, and never evaluates x.
 So ``run(None, guess)`` is the value of the reduct, the objective
 theory in which each of those K x is replaced by its guessed value,
-and its true mask is the set of the reduct's models.
+and its true mask is the set of the reduct's models.  The same compile
+records, for each member of the theory, the mask of the slots it reads,
+so a search over guesses can evaluate a member once its slots are
+guessed (``theory_closures``).
 """
 
 from __future__ import annotations
@@ -150,7 +153,7 @@ def _compile(f: Formula, vocabulary: Vocabulary, knows):
     return ev if any(map(callable, parts)) else ev(0, 0)
 
 
-def _three_valued_knows(vocabulary: Vocabulary, slots: dict):
+def _three_valued_knows(vocabulary: Vocabulary, slots: dict, read: list):
     """The K rule of the evaluator, x and y being the (pp, cp) masks:
     K x is true when every pp world satisfies x, false when some cp
     world falsifies it.
@@ -158,12 +161,16 @@ def _three_valued_knows(vocabulary: Vocabulary, slots: dict):
     Each distinct x that lies outside any other K is compiled once, and
     the closure of K x is recorded in ``slots[x]``.  Its insertion index
     is its guess slot: called as (None, guess), it reads that bit of the
-    guess.  A K nested deeper is compiled with its enclosing argument
-    and not looked up: hashing a formula walks all of it, so a lookup at
-    every nesting level would cost time quadratic in the depth."""
+    guess.  Each such K ORs its slot's bit into ``read[0]``, so the
+    caller learns which slots a formula reads by clearing the cell
+    before compiling it.  A K nested deeper is compiled with its
+    enclosing argument and not looked up: hashing a formula walks all
+    of it, so a lookup at every nesting level would cost time quadratic
+    in the depth."""
     full = vocabulary.full_mask
     on, off = (full, 0), (0, full)
     nested = False
+    bits = {}  # the slot bit of each recorded closure, found without hashing x
 
     def rule(part, slot=None):
         if not callable(part):  # an objective x: K x reads only its models
@@ -191,22 +198,31 @@ def _three_valued_knows(vocabulary: Vocabulary, slots: dict):
         ev_knows = slots.get(sub)
         if ev_knows is None:
             nested = True
-            ev_knows = slots[sub] = rule(_compile(sub, vocabulary, knows), len(slots))
+            slot = len(slots)
+            ev_knows = slots[sub] = rule(_compile(sub, vocabulary, knows), slot)
             nested = False
+            bits[ev_knows] = 1 << slot
+        read[0] |= bits[ev_knows]
         return ev_knows
 
     return knows
 
 
-def _conjunction(t: Theory, knows):
+def _conjunction(t: Theory, knows, read: list):
     """The closure (x, y) -> (t, f) of the conjunction of t's formulas,
-    its constant members folded into the starting masks."""
+    its constant members folded into the starting masks; the true mask
+    of those members; and the (reads, closure) pair of every other
+    member, reads being the slots ``knows`` recorded in ``read`` while
+    that member compiled."""
     true0, false0 = t.vocabulary.full_mask, 0
     parts = []
+    reads = []
     for f in t.formulas:
+        read[0] = 0
         part = _compile(f, t.vocabulary, knows)
         if callable(part):
             parts.append(part)
+            reads.append(read[0])
         else:
             true0 &= part[0]
             false0 |= part[1]
@@ -219,18 +235,30 @@ def _conjunction(t: Theory, knows):
             false_acc |= fm
         return true_acc, false_acc
 
-    return run
+    return run, true0, list(zip(reads, parts))
 
 
 def theory_closures(t: Theory):
-    """The theory compiled once: the closure (pp_mask, cp_mask) ->
-    (true_mask, false_mask) of its three-valued value, and its guess
-    slots, the dict from each distinct x under a K outside any other K
-    to the closure of K x, slot i being the i-th key.  Nothing caches
-    them: the caller keeps them while it evaluates the theory and they
+    """The theory compiled once, as four items:
+
+    * the closure (pp_mask, cp_mask) -> (true_mask, false_mask) of its
+      three-valued value;
+    * its guess slots, the dict from each distinct x under a K outside
+      any other K to the closure of K x, slot i being the i-th key;
+    * the models of its objective (K-free) members;
+    * the (reads, closure) pair of each other member, in theory order:
+      reads has bit i set iff the member holds slot i's K outside any
+      other K, and the closure is the member's own, so
+      ``closure(None, guess)`` is its reduct's value.
+
+    Recording the reads costs no compile and no hash.  Nothing caches
+    these: the caller keeps them while it evaluates the theory and they
     are freed with the caller, as ``OperatorContext`` does for a solve."""
     slots: dict = {}
-    return _conjunction(t, _three_valued_knows(t.vocabulary, slots)), slots
+    read = [0]
+    run, objective, formula_reads = _conjunction(
+        t, _three_valued_knows(t.vocabulary, slots, read), read)
+    return run, slots, objective, formula_reads
 
 
 def compiled_theory(t: Theory):
@@ -252,7 +280,7 @@ def formula_status_masks(f: Formula, pp_mask: int, cp_mask: int,
     monotone in the information order, which the convergence of the
     alternating iteration depends on.
     """
-    part = _compile(f, vocabulary, _three_valued_knows(vocabulary, {}))
+    part = _compile(f, vocabulary, _three_valued_knows(vocabulary, {}, [0]))
     return part(pp_mask, cp_mask) if callable(part) else part
 
 

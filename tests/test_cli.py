@@ -25,7 +25,7 @@ from nmr.operators import OperatorContext
 from nmr.semantics import KK, SOLVERS, WF
 from nmr.syntax import objective, parse_theory
 from nmr.truth import TruthFunctionKind
-from nmr.worlds import BeliefState
+from nmr.worlds import BeliefState, PartialBeliefState
 
 from helpers import rand_default_theory, rand_theory
 
@@ -425,6 +425,21 @@ def test_check_detects_injected_evaluation_bug(corpus, monkeypatch):
     assert run_check(corpus / "truthsayer.ael", out=buf) == 4
     out = buf.getvalue()
     assert "DISAGREEMENT" in out and "check failed" in out
+
+
+def test_check_detects_an_injected_search_bound_bug(corpus, monkeypatch):
+    # Corrupt the K-guess search only: a Kripke-Kleene bound that claims
+    # every world is certainly possible leaves one leaf, the full state;
+    # the brute-force oracle still finds both expansions of the truth sayer.
+    def too_tight(ctx):
+        full = ctx.vocabulary.full_mask
+        return PartialBeliefState.of_masks(ctx.vocabulary, full, full)
+
+    monkeypatch.setattr(nmr.semantics, "kk_lfp", too_tight)
+    buf = io.StringIO()
+    assert run_check(corpus / "truthsayer.ael", out=buf) == 4
+    out = buf.getvalue()
+    assert "expansions: fast 1 = brute 2" in out and "DISAGREEMENT" in out
 
 
 def test_run_solve_accepts_stream(corpus):

@@ -4,6 +4,7 @@ import weakref
 
 import pytest
 
+import nmr.semantics
 from nmr.defaults import (
     Default,
     DefaultTheory,
@@ -265,12 +266,24 @@ def test_chain_has_one_candidate_and_matches_direct_reiter(pairs):
     assert len(expansion_candidates(OperatorContext(konolige(dt)))) == 1
 
 
-@pytest.mark.parametrize("k", range(1, 5))
-def test_nixon_diamonds_match_direct_reiter(k):
+@pytest.mark.parametrize("k", range(1, 6))
+def test_nixon_diamonds_match_direct_reiter(k, monkeypatch):
+    # The bounds decide no guess of a diamond, yet the K-guess search
+    # yields only the 2^k expansions, and each gets one stable revision.
     dt = nixon_theory(k)
     direct = reiter_extensions(dt)
     assert len(direct) == 2 ** k
+    assert len(expansion_candidates(OperatorContext(konolige(dt)))) == 2 ** k
+    revisions = []
+    revise = nmr.semantics.stable_revision
+
+    def counting(*args):
+        revisions.append(args[1])
+        return revise(*args)
+
+    monkeypatch.setattr(nmr.semantics, "stable_revision", counting)
     assert dl_semantics(dt, "reiter").belief_states() == direct
+    assert revisions == direct  # one revision per extension, in mask order
 
 
 def test_default_theory_masks_are_freed_with_the_theory():

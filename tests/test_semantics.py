@@ -5,11 +5,13 @@ import pytest
 
 from nmr import truth as truth_module
 from nmr.defaults import konolige, parse_default_theory
+from nmr.oracle import brute_expansions, brute_stable
 from nmr.errors import ResourceCapError
 from nmr.operators import OperatorContext, kk_lfp, klfp_moore
 from nmr.semantics import (
     STEP_KK,
     STEP_MI,
+    expansion_candidates,
     expansions,
     greatest_unfounded_set,
     kripke_kleene_extension,
@@ -22,7 +24,13 @@ from nmr.syntax import modal_polarities, parse_theory
 from nmr.truth import TruthFunctionKind
 from nmr.worlds import Vocabulary, bottom_p, leq_p, set_bits
 
-from helpers import bstate, pstate, rand_only_negative_theory, rand_theory
+from helpers import (
+    bstate,
+    pstate,
+    rand_default_theory,
+    rand_only_negative_theory,
+    rand_theory,
+)
 
 VP = Vocabulary(("P",))
 VPQ = Vocabulary(("P", "Q"))
@@ -142,6 +150,38 @@ def test_kk_below_every_expansion_and_unique_when_total():
             assert leq_p(kk, e)
         if kk.is_total:
             assert [r.pp for r in exps] == [kk.pp]
+
+
+def test_candidates_are_exactly_the_brute_force_expansions():
+    # The K-guess search yields every expansion once and nothing else, so
+    # stable extensions revise expansions only; 1500 theories over 1-3
+    # atoms, half modal, half translated default theories.
+    rng = random.Random(409)
+    cases = 0
+    for i in range(1500):
+        atoms = ["a", "b", "c"][:rng.randint(1, 3)]
+        if i % 2:
+            t = rand_theory(rng, atoms, max_formulas=4, depth=4)
+        else:
+            t = konolige(rand_default_theory(rng, atoms))
+        for truth in TruthFunctionKind:
+            ctx = OperatorContext(t, truth)
+            assert expansion_candidates(ctx) == brute_expansions(ctx), (t, truth)
+            assert stable_extensions(ctx).belief_states() == brute_stable(ctx), (t, truth)
+            cases += 1
+    assert cases == 3000
+
+
+def test_sv_stable_revises_no_candidate_that_is_not_an_expansion():
+    # The empty state is a guess reduct here but no expansion; revising it
+    # under supervaluation would split over all 32 unknown worlds, beyond
+    # the completion cap.  Only the full state, an expansion, is revised.
+    t = parse_theory("vocab: a b c d e\nK b -> K d\n")
+    full = t.vocabulary.full_mask
+    for truth in TruthFunctionKind:
+        ctx = OperatorContext(t, truth)
+        assert [b.mask for b in expansion_candidates(ctx)] == [full]
+        assert [b.mask for b in stable_extensions(ctx).belief_states()] == [full]
 
 
 def test_stable_extensions_are_expansions():

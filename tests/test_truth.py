@@ -316,6 +316,21 @@ def test_guessed_kleene_masks_match_the_substituted_reducts():
     assert nested
 
 
+def test_each_modal_member_records_the_guess_slots_it_reads():
+    t = parse_theory("vocab: a b c\nK a -> b\nK a & ~K ~b -> c\nK (K a | b) -> c\na | b\n")
+    ctx = OperatorContext(t)
+    slot = {x: 1 << i for i, x in enumerate(ctx.knows_masks)}
+    a, not_b, ka_or_b = parse_formula("a"), parse_formula("~b"), parse_formula("K a | b")
+    assert list(slot) == [a, not_b, ka_or_b]  # the nested K a is no slot
+    assert [reads for reads, _ in ctx.formula_reads] == [
+        slot[a], slot[a] | slot[not_b], slot[ka_or_b]]
+    assert ctx.objective_mask == models_mask(parse_formula("a | b"), t.vocabulary)
+    for guess in range(8):  # each closure is its member's own
+        for (_, closure), f in zip(ctx.formula_reads, t.formulas):
+            reduct = _reduct(f, list(slot), guess)
+            assert closure(None, guess)[0] == models_mask(reduct, t.vocabulary)
+
+
 @pytest.mark.parametrize("truth", list(TruthFunctionKind))
 def test_compiled_theories_are_freed_with_their_holders(truth):
     t = parse_theory("vocab: P Q\nK P -> P\n~K ~Q -> Q\nK (P | Q) | ~K Q\n")
