@@ -8,9 +8,10 @@ Three commands:
 
 Exit codes: 0 success (an empty result list is an answer), 1 parse or
 input error (including a file that is not UTF-8), 2 resource cap
-exceeded, a formula nested too deeply, or a usage error (argparse's
-own exit code, e.g. ``--semantics reiter`` on an ``.ael`` file),
-3 internal invariant violation, 4 oracle disagreement from ``check``.
+exceeded, a formula nested too deeply, memory exhausted, or a usage
+error (argparse's own exit code, e.g. ``--semantics reiter`` on an
+``.ael`` file), 3 internal invariant violation, 4 oracle disagreement
+from ``check``.
 Output is deterministic: identical inputs produce byte-identical output.
 ``--json`` output has the layout ``json.dumps`` gives with an indent of
 2, written directly by ``solve_payload`` (each world's atom list is
@@ -388,6 +389,9 @@ def main(argv=None) -> int:
         return 2
     except RecursionError:
         print("resource cap: formula nested too deeply", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("resource cap: out of memory", file=sys.stderr)
         return 2
     except InternalInvariantError as exc:
         print(f"internal error: {exc}", file=sys.stderr)

@@ -52,6 +52,9 @@ class OperatorContext:
     #: key (``truth.theory_closures``).
     knows_masks: dict[Formula, Callable[[int, int], tuple[int, int]]] = field(
         init=False, repr=False, compare=False)
+    #: Item i is the models of slot i's x when x is objective, else None;
+    #: the supervaluation searches the guesses over these.
+    slot_models: list[int | None] = field(init=False, repr=False, compare=False)
     #: The models of the theory's objective members, which
     #: ``kleene_masks`` folds into its starting masks.
     objective_mask: int = field(init=False, repr=False, compare=False)
@@ -62,7 +65,8 @@ class OperatorContext:
         init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        names = ("kleene_masks", "knows_masks", "objective_mask", "formula_reads")
+        names = ("kleene_masks", "knows_masks", "slot_models", "objective_mask",
+                 "formula_reads")
         for name, value in zip(names, theory_closures(self.theory)):
             object.__setattr__(self, name, value)
 
@@ -82,7 +86,8 @@ class OperatorContext:
     def status_masks(self, pp_mask: int, cp_mask: int) -> tuple[int, int]:
         if self.truth is TruthFunctionKind.KLEENE:
             return self.kleene_masks(pp_mask, cp_mask)
-        return sv_theory_masks(self.kleene_masks, self.vocabulary, pp_mask, cp_mask)
+        return sv_theory_masks(self.kleene_masks, self.slot_models, self.vocabulary,
+                               pp_mask, cp_mask)
 
 
 class NotStableSignal:

@@ -18,9 +18,15 @@ from .truth import TruthFunctionKind
 from .worlds import BeliefState, PartialBeliefState
 
 
+#: Largest vocabulary whose world sets are enumerated whatever the
+#: budget: 5 atoms would make 2^32 sets.
+BRUTE_MAX_ATOMS = 4
+
+
 @dataclass(frozen=True, slots=True)
 class OracleBudget:
-    """Largest vocabulary the 2^(2^n) subset enumerations will touch."""
+    """Largest vocabulary the oracles will touch; the 2^(2^n) subset
+    enumerations stop at ``BRUTE_MAX_ATOMS`` even under a larger one."""
 
     max_atoms: int = 4
 
@@ -33,9 +39,19 @@ def _check_budget(ctx: OperatorContext, budget: OracleBudget) -> None:
         )
 
 
+def _check_enumerable(ctx: OperatorContext, budget: OracleBudget) -> None:
+    _check_budget(ctx, budget)
+    n = len(ctx.vocabulary)
+    if n > BRUTE_MAX_ATOMS:
+        raise ResourceCapError(
+            f"world-set enumeration stops at {BRUTE_MAX_ATOMS} atoms, theory has {n} "
+            f"(2^{1 << n} world sets)"
+        )
+
+
 def brute_expansions(ctx: OperatorContext, budget: OracleBudget = OracleBudget()) -> list[BeliefState]:
     """Every subset of worlds the one-step revision maps to itself."""
-    _check_budget(ctx, budget)
+    _check_enumerable(ctx, budget)
     out = []
     for mask in range(ctx.vocabulary.full_mask + 1):
         b = BeliefState(ctx.vocabulary, mask)
@@ -46,7 +62,7 @@ def brute_expansions(ctx: OperatorContext, budget: OracleBudget = OracleBudget()
 
 def brute_stable(ctx: OperatorContext, budget: OracleBudget = OracleBudget()) -> list[BeliefState]:
     """Every subset of worlds reproduced by its own stable revision."""
-    _check_budget(ctx, budget)
+    _check_enumerable(ctx, budget)
     out = []
     for mask in range(ctx.vocabulary.full_mask + 1):
         b = BeliefState(ctx.vocabulary, mask)

@@ -18,23 +18,26 @@ On a total state (pp == cp) every formula is two-valued and the
 evaluation is exactly classical S5 over the possible-world set, so the
 same evaluator serves ``eval_s5``.
 
-The supervaluation function instead evaluates the theory classically in
-every total completion b with cp <= b <= pp and keeps only verdicts all
-completions agree on.  It is at least as precise as the three-valued
-evaluation and strictly more precise on case-split tautologies, at the
-cost of 2^u classical passes for u unknown worlds.
+The supervaluation function instead keeps only the verdicts on which
+the classical evaluations in every total completion b with
+cp <= b <= pp agree.  It is at least as precise as the three-valued
+evaluation and strictly more precise on case-split tautologies.  A
+completion matters only through the guess it induces on the guess slots
+below, so ``sv_theory_masks`` evaluates one reduct per guess some
+completion induces, not the theory once per completion.
 
 The same closures give the K-guess reducts behind the expansion
-candidates.  Each distinct x under a K that lies outside any other K is
-a guess slot, numbered in compile order (``theory_closures``).  Called
-as (None, guess), the closure of such a K x returns (full, 0) or
-(0, full) from bit i of guess, i being its slot, and never evaluates x.
-So ``run(None, guess)`` is the value of the reduct, the objective
-theory in which each of those K x is replaced by its guessed value,
-and its true mask is the set of the reduct's models.  The same compile
-records, for each member of the theory, the mask of the slots it reads,
-so a search over guesses can evaluate a member once its slots are
-guessed (``theory_closures``).
+candidates and the supervaluation.  Each distinct x under a K that lies
+outside any other K is a guess slot, numbered in compile order
+(``theory_closures``).  Called as (None, guess), the closure of such a
+K x returns (full, 0) or (0, full) from bit i of guess, i being its
+slot, and never evaluates x.  So ``run(None, guess)`` is the value of
+the reduct, the objective theory in which each of those K x is replaced
+by its guessed value, and its true mask is the set of the reduct's
+models.  The same compile records, for each member of the theory, the
+mask of the slots it reads, so a search over guesses can evaluate a
+member once its slots are guessed, and for each slot the models of x
+when x is objective (``theory_closures``).
 """
 
 from __future__ import annotations
@@ -153,7 +156,8 @@ def _compile(f: Formula, vocabulary: Vocabulary, knows):
     return ev if any(map(callable, parts)) else ev(0, 0)
 
 
-def _three_valued_knows(vocabulary: Vocabulary, slots: dict, read: list):
+def _three_valued_knows(vocabulary: Vocabulary, slots: dict, slot_models: list,
+                        read: list):
     """The K rule of the evaluator, x and y being the (pp, cp) masks:
     K x is true when every pp world satisfies x, false when some cp
     world falsifies it.
@@ -161,12 +165,13 @@ def _three_valued_knows(vocabulary: Vocabulary, slots: dict, read: list):
     Each distinct x that lies outside any other K is compiled once, and
     the closure of K x is recorded in ``slots[x]``.  Its insertion index
     is its guess slot: called as (None, guess), it reads that bit of the
-    guess.  Each such K ORs its slot's bit into ``read[0]``, so the
-    caller learns which slots a formula reads by clearing the cell
-    before compiling it.  A K nested deeper is compiled with its
-    enclosing argument and not looked up: hashing a formula walks all
-    of it, so a lookup at every nesting level would cost time quadratic
-    in the depth."""
+    guess.  ``slot_models`` gets, in slot order, the models of x when x
+    folds to a constant pair (x is objective), else None.  Each such K
+    ORs its slot's bit into ``read[0]``, so the caller learns which
+    slots a formula reads by clearing the cell before compiling it.  A
+    K nested deeper is compiled with its enclosing argument and not
+    looked up: hashing a formula walks all of it, so a lookup at every
+    nesting level would cost time quadratic in the depth."""
     full = vocabulary.full_mask
     on, off = (full, 0), (0, full)
     nested = False
@@ -199,7 +204,9 @@ def _three_valued_knows(vocabulary: Vocabulary, slots: dict, read: list):
         if ev_knows is None:
             nested = True
             slot = len(slots)
-            ev_knows = slots[sub] = rule(_compile(sub, vocabulary, knows), slot)
+            part = _compile(sub, vocabulary, knows)
+            slot_models.append(None if callable(part) else part[0])
+            ev_knows = slots[sub] = rule(part, slot)
             nested = False
             bits[ev_knows] = 1 << slot
         read[0] |= bits[ev_knows]
@@ -239,26 +246,30 @@ def _conjunction(t: Theory, knows, read: list):
 
 
 def theory_closures(t: Theory):
-    """The theory compiled once, as four items:
+    """The theory compiled once, as five items:
 
     * the closure (pp_mask, cp_mask) -> (true_mask, false_mask) of its
       three-valued value;
     * its guess slots, the dict from each distinct x under a K outside
       any other K to the closure of K x, slot i being the i-th key;
+    * the list whose item i is the models of slot i's x when x is
+      objective, and None when x holds a K;
     * the models of its objective (K-free) members;
     * the (reads, closure) pair of each other member, in theory order:
       reads has bit i set iff the member holds slot i's K outside any
       other K, and the closure is the member's own, so
       ``closure(None, guess)`` is its reduct's value.
 
-    Recording the reads costs no compile and no hash.  Nothing caches
-    these: the caller keeps them while it evaluates the theory and they
-    are freed with the caller, as ``OperatorContext`` does for a solve."""
+    Recording the reads and the slot models costs no compile and no
+    hash.  Nothing caches these: the caller keeps them while it
+    evaluates the theory and they are freed with the caller, as
+    ``OperatorContext`` does for a solve."""
     slots: dict = {}
+    slot_models: list = []
     read = [0]
     run, objective, formula_reads = _conjunction(
-        t, _three_valued_knows(t.vocabulary, slots, read), read)
-    return run, slots, objective, formula_reads
+        t, _three_valued_knows(t.vocabulary, slots, slot_models, read), read)
+    return run, slots, slot_models, objective, formula_reads
 
 
 def compiled_theory(t: Theory):
@@ -280,17 +291,74 @@ def formula_status_masks(f: Formula, pp_mask: int, cp_mask: int,
     monotone in the information order, which the convergence of the
     alternating iteration depends on.
     """
-    part = _compile(f, vocabulary, _three_valued_knows(vocabulary, {}, [0]))
+    part = _compile(f, vocabulary, _three_valued_knows(vocabulary, {}, [], [0]))
     return part(pp_mask, cp_mask) if callable(part) else part
 
 
-def sv_theory_masks(run, vocabulary: Vocabulary, pp_mask: int, cp_mask: int,
-                    cap: int = DEFAULT_COMPLETION_CAP) -> tuple[int, int]:
-    """Supervaluation value per world, by case analysis over the
-    completions cp <= b <= pp.
+def _completion_models(run, pp_mask: int, cp_mask: int):
+    """The classical models of the theory at each completion b, the
+    empty extension of cp first."""
+    unknown = pp_mask & ~cp_mask
+    part = 0
+    while True:  # every subset part of the unknown worlds
+        yield run(cp_mask | part, cp_mask | part)[0]
+        part = (part - unknown) & unknown
+        if not part:
+            return
 
-    ``run`` is the theory's compiled three-valued closure
-    (``compiled_theory``), evaluated classically on each completion.
+
+def _achievable_reduct_models(run, slot_models: list, pp_mask: int, cp_mask: int):
+    """The models of the g-reduct for each guess g some completion
+    induces, found depth first over the slots in order.  A node holds
+    its guessed prefix, U (pp cut by the models of each slot guessed
+    true) and the models of each slot guessed false."""
+    stack = [(0, 0, pp_mask, ())]
+    while stack:
+        d, guess, u, zeros = stack.pop()
+        if d == len(slot_models):
+            yield run(None, guess)[0]
+            continue
+        models_d = slot_models[d]
+        if u & ~models_d:  # else U <= M_d and slot d cannot read false
+            stack.append((d + 1, guess, u, (*zeros, models_d)))
+        one = u & models_d
+        if not cp_mask & ~one and all(one & ~m for m in zeros):
+            stack.append((d + 1, guess | 1 << d, one, zeros))
+
+
+def sv_theory_masks(run, slot_models: list, vocabulary: Vocabulary, pp_mask: int,
+                    cp_mask: int, cap: int = DEFAULT_COMPLETION_CAP) -> tuple[int, int]:
+    """Supervaluation value per world: the verdicts on which the
+    classical evaluations at every completion cp <= b <= pp agree.
+
+    ``run`` is the theory's compiled three-valued closure and
+    ``slot_models`` its slots' objective models (``theory_closures``).
+
+    When every slot's x is objective, with models M_i, a completion b
+    matters only through its guess g_b, bit i set iff b <= M_i: each
+    slot's K x is world-independent, so at (b, b) the theory takes the
+    value of its g_b-reduct, whose models ``run(None, g_b)[0]`` gives.
+    The true mask is then the AND of the reducts' models over the
+    achievable guesses G = {g_b : cp <= b <= pp}, and the false mask the
+    AND of their complements.  A guess g is achievable iff
+    U = pp & AND{M_i : g_i = 1} contains cp and U is no subset of M_j
+    for any g_j = 0.  If g = g_b, then cp <= b <= U, and U <= M_j would
+    give b <= M_j.  Conversely b = U lies in [cp, pp], inside every M_i
+    of a true bit and inside no M_j of a false one, so g_U = g.
+
+    The search guesses the slots in order on an explicit stack and drops
+    a node when cp leaves U or a slot guessed false already has
+    U <= M_j.  Both are final, as U only shrinks below a node, and every
+    other node reaches a leaf: guess each later slot true iff U <= M_k,
+    which leaves U as it is.  A node at depth d has the prefix of g_U,
+    so nodes at one depth have distinct U in [cp, pp]: there are at most
+    min(2^d, 2^u) of them for u unknown worlds, and at most
+    min(2^m, 2^u) leaves for m slots.  The search is refused only when
+    both u and m exceed ``cap``.
+
+    A theory with a K inside a slot's x (its ``slot_models`` entry is
+    None) is the one case still evaluated once per completion: 2^u
+    classical passes, refused when u exceeds ``cap``.
 
     A raw inconsistent mask pair (oracle only) has no completions, and
     the empty case analysis makes every verdict vacuously unanimous:
@@ -300,23 +368,21 @@ def sv_theory_masks(run, vocabulary: Vocabulary, pp_mask: int, cp_mask: int,
     full = vocabulary.full_mask
     if cp_mask & ~pp_mask:
         return full, full
-    unknown = pp_mask & ~cp_mask
-    u = unknown.bit_count()
-    if u > cap:
+    u = (pp_mask & ~cp_mask).bit_count()
+    by_completion = None in slot_models
+    if u > cap and (by_completion or len(slot_models) > cap):
         raise ResourceCapError(
             f"supervaluation over {u} unknown worlds exceeds the completion cap {cap}"
         )
-    true_acc = full
-    false_acc = full
-    part = 0
-    while True:  # every subset part of the unknown worlds, the empty one first
-        sat, _ = run(cp_mask | part, cp_mask | part)
+    if by_completion:
+        cases = _completion_models(run, pp_mask, cp_mask)
+    else:
+        cases = _achievable_reduct_models(run, slot_models, pp_mask, cp_mask)
+    true_acc = false_acc = full
+    for sat in cases:
         true_acc &= sat
         false_acc &= full & ~sat
         if not true_acc and not false_acc:
-            break
-        part = (part - unknown) & unknown
-        if not part:
             break
     return true_acc, false_acc
 
@@ -379,7 +445,8 @@ def eval_sv(pb: PartialBeliefState, w: World, t: Theory,
             cap: int = DEFAULT_COMPLETION_CAP) -> TruthValue3:
     _require_same_vocabulary(pb.vocabulary, w.vocabulary)
     _require_same_vocabulary(pb.vocabulary, t.vocabulary)
-    return _value_at(sv_theory_masks(compiled_theory(t), t.vocabulary,
+    run, _, slot_models, _, _ = theory_closures(t)
+    return _value_at(sv_theory_masks(run, slot_models, t.vocabulary,
                                      pb.pp.mask, pb.cp.mask, cap), w.index)
 
 

@@ -375,6 +375,55 @@ def test_vocabulary_past_the_cap_is_refused_before_any_mask_is_built(tmp_path, a
         assert out.startswith(header)
 
 
+@pytest.mark.parametrize("suffix,body", [(".ael", "A0\nK A1 -> A2\n"),
+                                         (".dt", "A0\nA0 : A1 / A1\n")], ids=["ael", "dt"])
+def test_masks_past_the_memory_limit_are_a_resource_cap(tmp_path, suffix, body):
+    # --max-atoms 64 admits 40 atoms; the 2^40-bit full mask does not fit.
+    path = tmp_path / f"wide{suffix}"
+    path.write_text("vocab: " + " ".join(f"A{i}" for i in range(40)) + "\n" + body,
+                    encoding="utf-8")
+    code, out, err = _fresh_process(
+        ["solve", "--max-atoms", "64", "--semantics", "kk", "--input", str(path)],
+        preexec_fn=_limit_address_space_to_1_gib)
+    assert (code, out, err) == (2, "", "resource cap: out of memory\n")
+
+
+@pytest.mark.parametrize("suffix,body", [(".ael", "K a -> b\n"), (".dt", "a\na : b / b\n")],
+                         ids=["ael", "dt"])
+def test_check_refuses_world_set_enumeration_past_four_atoms(tmp_path, suffix, body):
+    # 2^32 world sets: a budget of 5 atoms must not start enumerating them.
+    path = tmp_path / f"five{suffix}"
+    path.write_text("vocab: a b c d e\n" + body, encoding="utf-8")
+    code, _, err = _fresh_process(["check", "--budget", "5", "--input", str(path)],
+                                  timeout=10)
+    assert (code, err) == (2, "resource cap: world-set enumeration stops at 4 atoms, "
+                              "theory has 5 (2^32 world sets)\n")
+
+
+CHAIN_6 = ("vocab: " + " ".join(f"a{i} b{i}" for i in range(1, 7)) + "\na1\na3\na5\n"
+           + "".join(f"a{i} : b{i} / b{i}\n" for i in range(1, 7)))
+
+
+@pytest.mark.parametrize("semantics", [KK, WF])
+@pytest.mark.parametrize("name,text,sharper", [
+    ("five.ael", "vocab: a b c d e\nK a -> b\n", False),
+    ("split.ael", "vocab: a b c d e\nK a | ~K a -> a\n", True),
+    ("chain.dt", CHAIN_6, False),
+], ids=["five.ael", "split.ael", "chain.dt"])
+def test_sv_answers_above_four_atoms(tmp_path, capsys, semantics, name, text, sharper):
+    path = tmp_path / name
+    path.write_text(text, encoding="utf-8")
+    states = {}
+    for truth in ("kleene", "sv"):
+        assert solve("--semantics", semantics, "--truth", truth, "--json",
+                     "--input", str(path)) == 0
+        (state,) = json.loads(capsys.readouterr().out)["results"]
+        states[truth] = [{tuple(w) for w in state[key]} for key in ("pp", "cp")]
+    (kleene_pp, kleene_cp), (sv_pp, sv_cp) = states["kleene"], states["sv"]
+    assert sv_pp <= kleene_pp and kleene_cp <= sv_cp
+    assert (states["sv"] != states["kleene"]) is sharper
+
+
 def test_reiter_requires_default_logic_input(corpus):
     with pytest.raises(SystemExit):
         solve("--semantics", "reiter", "--input", str(corpus / "truthsayer.ael"))

@@ -4,6 +4,7 @@ import weakref
 
 import pytest
 
+from nmr.defaults import konolige, parse_default_theory
 from nmr.errors import ResourceCapError, VocabularyMismatchError
 from nmr.operators import OperatorContext
 from nmr.semantics import expansions, stable_extensions
@@ -20,6 +21,7 @@ from nmr.syntax import (
     Top,
     children,
     collect_modal_subformulas,
+    objective,
     parse_formula,
     parse_theory,
 )
@@ -42,6 +44,7 @@ from nmr.worlds import BeliefState, PartialBeliefState, Vocabulary, bottom_p
 from helpers import (
     bstate,
     pstate,
+    rand_default_theory,
     rand_formula,
     rand_partial_state,
     rand_theory,
@@ -148,8 +151,16 @@ def test_eval_sv_formula_variant():
 
 
 def test_eval_sv_completion_cap():
-    with pytest.raises(ResourceCapError):
-        eval_sv(bottom_p(VPQ), world(VPQ, ()), parse_theory("vocab: P Q\nP\n"), cap=3)
+    # Four unknown worlds exceed the cap, but the objective theory has no
+    # guess slot, so the guess search still answers.
+    t = parse_theory("vocab: P Q\nP\n")
+    assert eval_sv(bottom_p(VPQ), world(VPQ, ()), t, cap=3) is F
+    assert eval_sv(bottom_p(VPQ), world(VPQ, ("P",)), t, cap=3) is T
+    four_slots = parse_theory("vocab: P Q\nK P | K Q | K ~P | K ~Q\n")
+    nested = parse_theory("vocab: P Q\nK K P -> Q\n")  # still one pass per completion
+    for theory in (four_slots, nested):
+        with pytest.raises(ResourceCapError):
+            eval_sv(bottom_p(VPQ), world(VPQ, ()), theory, cap=3)
 
 
 def test_total_state_agreement_with_s5():
@@ -340,3 +351,60 @@ def test_compiled_theories_are_freed_with_their_holders(truth):
     del ctx, t
     gc.collect()
     assert held() is None
+
+
+def _sv_by_completions(ctx, pp, cp):
+    """The supervaluation by its definition: the theory evaluated
+    classically at every completion cp <= b <= pp."""
+    full = ctx.vocabulary.full_mask
+    true_acc = false_acc = full
+    unknown = pp & ~cp
+    b = unknown
+    while cp & ~pp == 0:  # an inconsistent pair has no completion
+        sat = ctx.kleene_masks(cp | b, cp | b)[0]
+        true_acc &= sat
+        false_acc &= full & ~sat
+        if not b:
+            break
+        b = (b - 1) & unknown
+    return true_acc, false_acc
+
+
+def _sv_agrees_with_the_completions(ctx, rng, pairs, max_unknown):
+    full = ctx.vocabulary.full_mask
+    assert ctx.slot_models == [
+        models_mask(x, ctx.vocabulary) if objective(x) else None for x in ctx.knows_masks]
+    checked = 0
+    while checked < pairs:
+        pp = rng.randrange(full + 1)
+        cp = pp & rng.randrange(full + 1)
+        if (pp & ~cp).bit_count() > max_unknown:
+            continue
+        assert ctx.status_masks(pp, cp) == _sv_by_completions(ctx, pp, cp)
+        checked += 1
+    bad = 1 << rng.randrange(ctx.vocabulary.world_count)  # in cp, not in pp
+    pp = rng.randrange(full + 1) & ~bad
+    assert ctx.status_masks(pp, pp & rng.randrange(full + 1) | bad) == (full, full)
+    return None in ctx.slot_models
+
+
+def test_sv_by_achievable_guesses_matches_every_completion():
+    rng = random.Random(1907)
+    sv = TruthFunctionKind.SUPERVALUATION
+    nested = 0
+    for i in range(1600):
+        atoms = ["P", "Q", "R"][:1 + i % 3]
+        t = rand_theory(rng, atoms) if i % 2 else konolige(rand_default_theory(rng, atoms))
+        nested += _sv_agrees_with_the_completions(OperatorContext(t, sv), rng, 6, 8)
+    assert 0 < nested < 1600
+
+
+def test_sv_by_achievable_guesses_matches_every_completion_on_the_corpus(corpus):
+    rng = random.Random(1909)
+    theories = [konolige(parse_default_theory(path.read_text(encoding="utf-8")))
+                for path in sorted(corpus.glob("*.dt"))]
+    four_atoms = [t for t in theories if len(t.vocabulary) == 4]
+    assert len(four_atoms) == 4
+    for t in four_atoms:
+        ctx = OperatorContext(t, TruthFunctionKind.SUPERVALUATION)
+        _sv_agrees_with_the_completions(ctx, rng, 12, 10)
