@@ -28,7 +28,6 @@ from pathlib import Path
 
 from .defaults import (
     DL_ALIASES,
-    DefaultTheory,
     dl_semantics,
     konolige,
     parse_default_theory,
@@ -46,7 +45,7 @@ from .semantics import (
     stable_extensions,
     well_founded_extension,
 )
-from .syntax import Theory, parse_theory, print_theory
+from .syntax import parse_theory, print_theory
 from .truth import TruthFunctionKind
 from .worlds import (
     DEFAULT_ATOM_CAP,
@@ -81,16 +80,11 @@ def _infer_logic(path: Path) -> str:
     return "dl" if path.suffix == ".dt" else "ael"
 
 
-def _load_ael(path: Path, max_atoms: int) -> Theory:
-    theory = parse_theory(path.read_text(encoding="utf-8"))
+def _load(path: Path, parse, max_atoms: int):
+    """The theory ``parse`` reads from path, refused past the atom cap."""
+    theory = parse(path.read_text(encoding="utf-8"))
     enumerate_worlds(theory.vocabulary, max_atoms)
     return theory
-
-
-def _load_dt(path: Path, max_atoms: int) -> DefaultTheory:
-    dt = parse_default_theory(path.read_text(encoding="utf-8"))
-    enumerate_worlds(dt.vocabulary, max_atoms)
-    return dt
 
 
 # ---------------------------------------------------------------------------
@@ -227,11 +221,11 @@ def _print_human(out, semantics: str, result: SemanticsResult, trace: bool) -> N
 def run_solve(req: SolveRequest, out=None) -> int:
     out = out or sys.stdout
     if req.logic == "dl":
-        dt = _load_dt(req.input_path, req.max_atoms)
+        dt = _load(req.input_path, parse_default_theory, req.max_atoms)
         result = dl_semantics(dt, req.semantics, req.truth)
         vocabulary = dt.vocabulary
     else:
-        theory = _load_ael(req.input_path, req.max_atoms)
+        theory = _load(req.input_path, parse_theory, req.max_atoms)
         result = SOLVERS[req.semantics](OperatorContext(theory, req.truth))
         vocabulary = theory.vocabulary
     if req.json_out:
@@ -265,7 +259,7 @@ def run_check(path: Path, truth: TruthFunctionKind = TruthFunctionKind.KLEENE,
     print(f"check {path}", file=out)
 
     if path.suffix == ".dt":
-        dt = _load_dt(path, budget.max_atoms)
+        dt = _load(path, parse_default_theory, budget.max_atoms)
         reiter = reiter_extensions(dt)
         ctx = OperatorContext(konolige(dt), truth)
         fast_stable = stable_extensions(ctx).belief_states()
@@ -277,7 +271,7 @@ def run_check(path: Path, truth: TruthFunctionKind = TruthFunctionKind.KLEENE,
                 f"  translated: {[str(b) for b in fast_stable]}"
             )
     else:
-        ctx = OperatorContext(_load_ael(path, budget.max_atoms), truth)
+        ctx = OperatorContext(_load(path, parse_theory, budget.max_atoms), truth)
         fast_stable = None
 
     fast_exp = [s.pp for s in expansions(ctx).results]
@@ -325,6 +319,17 @@ def run_check(path: Path, truth: TruthFunctionKind = TruthFunctionKind.KLEENE,
 # Argument parsing
 # ---------------------------------------------------------------------------
 
+def _atom_count(text: str) -> int:
+    """The type of ``--max-atoms`` and ``--budget``: an int of at least 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nmr",
@@ -340,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--input", required=True, type=Path)
     solve.add_argument("--json", action="store_true", dest="json_out")
     solve.add_argument("--trace", action="store_true")
-    solve.add_argument("--max-atoms", type=int, default=DEFAULT_ATOM_CAP)
+    solve.add_argument("--max-atoms", type=_atom_count, default=DEFAULT_ATOM_CAP)
 
     translate = sub.add_parser("translate", help="print the modal translation of a .dt file")
     translate.add_argument("--input", required=True, type=Path)
@@ -348,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     check = sub.add_parser("check", help="cross-check fast solvers against the oracles")
     check.add_argument("--input", required=True, type=Path)
     check.add_argument("--truth", choices=["kleene", "sv"], default="kleene")
-    check.add_argument("--budget", type=int, default=OracleBudget().max_atoms,
+    check.add_argument("--budget", type=_atom_count, default=OracleBudget().max_atoms,
                        help="oracle budget in atoms")
     return parser
 

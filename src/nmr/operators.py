@@ -1,5 +1,13 @@
 """Semantic operators on belief states and their fixpoint iterations.
 
+The operators map world sets to world sets.  Masks inside, objects at
+the public boundary: every loop here, and the loops of ``semantics`` and
+``oracle`` that call in, runs on world masks ((pp, cp) pairs when
+partial).  A public function checks the vocabulary of the state it
+takes once and builds one object per result.  One revision loop,
+``revise_masks``, serves ``stable_revision``, ``oracle.brute_stable``
+and ``oracle.algebraic_wf``.
+
 * ``moore_step`` is the classical one-step revision: keep exactly the
   worlds that satisfy the theory under the current belief state.
 * ``approx_step`` is its three-valued counterpart on partial states:
@@ -9,10 +17,8 @@
   precision order, which makes its iteration from the fully unknown
   state converge to the least fixpoint (``kk_closure``, ``kk_lfp``).
 * ``stable_revision`` rebuilds the impossible worlds of a candidate
-  belief state b while keeping b's ignorance pinned: starting from all
-  worlds, it repeatedly deletes the worlds where the theory is false
-  relative to (current, b).  b is a stable extension exactly when the
-  iteration lands back on b.
+  belief state b while keeping b's ignorance pinned; b is a stable
+  extension exactly when the revision lands back on b.
 * ``klfp_moore`` iterates ``moore_step`` downward from the full world
   set; for theories whose K occurrences are all negative the operator
   is monotone, so this reaches its knowledge-least fixpoint.
@@ -33,7 +39,6 @@ from .worlds import (
     Vocabulary,
     _require_same_vocabulary,
     bottom_p,
-    leq_p,
 )
 
 
@@ -127,23 +132,33 @@ def approx_step(ctx: OperatorContext, pb: PartialBeliefState) -> PartialBeliefSt
 
 
 def kk_closure(ctx: OperatorContext, pb: PartialBeliefState,
-               changes: list[tuple[int, int]] | None = None) -> PartialBeliefState:
+               settled: list[tuple[int, str]] | None = None) -> PartialBeliefState:
     """Least fixpoint of ``approx_step`` above pb in the precision order.
 
-    Each step may only add determined worlds, so the chain is strictly
-    increasing until the fixpoint and converges within 2*|W| + 1 steps.
-    If ``changes`` is given, every step appends its pair of world masks
-    (newly certainly impossible, newly certainly possible).
+    Iterates ``ctx.status_masks`` on pb's (pp, cp) pair of masks.  Each
+    step must give a consistent pair (cp within pp) at least as precise
+    as the last: it may only add determined worlds, so the chain is
+    strictly increasing until the fixpoint and converges within
+    2*|W| + 1 steps.  If ``settled`` is given, every step appends the
+    worlds it settles as (mask, status) pairs: the newly certainly
+    impossible worlds with "f", then the newly certainly possible ones
+    with "t", each only when there are any.
     """
+    _require_same_vocabulary(pb.vocabulary, ctx.vocabulary)
+    full = ctx.vocabulary.full_mask
+    pp, cp = pb.pp.mask, pb.cp.mask
     for _ in range(2 * ctx.vocabulary.world_count + 2):
-        nxt = approx_step(ctx, pb)
-        if not leq_p(pb, nxt):
+        t_mask, f_mask = ctx.status_masks(pp, cp)
+        next_pp = full & ~f_mask
+        if t_mask & ~next_pp:
+            raise InternalInvariantError("approx_step gave an inconsistent pair")
+        if next_pp & ~pp or cp & ~t_mask:
             raise InternalInvariantError("approx_step chain is not precision-increasing")
-        if nxt == pb:
-            return pb
-        if changes is not None:
-            changes.append((pb.pp.mask & ~nxt.pp.mask, nxt.cp.mask & ~pb.cp.mask))
-        pb = nxt
+        if next_pp == pp and t_mask == cp:
+            return PartialBeliefState.of_masks(pb.vocabulary, pp, cp)
+        if settled is not None:
+            settled += [(m, s) for m, s in ((pp & ~next_pp, "f"), (t_mask & ~cp, "t")) if m]
+        pp, cp = next_pp, t_mask
     raise InternalInvariantError("approx_step iteration failed to converge")
 
 
@@ -159,30 +174,49 @@ class RevisionLog:
     removals: list[int] = field(default_factory=list)
 
 
-def stable_revision(ctx: OperatorContext, b: BeliefState,
-                    log: RevisionLog | None = None) -> BeliefState | NotStableSignal:
-    """Delete refutable worlds under b's pinned ignorance until none remain.
+def revise_masks(ctx: OperatorContext, pinned: int, stop: int,
+                 removals: list[int] | None = None) -> int | None:
+    """The stable revision loop on masks.
 
     Starts at the full world set Z = W and repeatedly removes the worlds
-    where the theory evaluates to false against (Z, b).  Falsity is
-    final along the run (the evaluation is precision-monotone and b
-    never moves), so removing every refutable world at once is safe.
-    The run aborts with ``NOT_STABLE`` the moment it would remove a
-    world of b itself: the pair would stop being consistent and the
-    iteration could no longer land on b.
+    where the theory evaluates to false against (Z, pinned); returns the
+    Z where none is left, or None the moment a removal would touch a
+    world of ``stop``.  Falsity is final along the run (the evaluation
+    is precision-monotone and pinned never moves), so removing every
+    refutable world at once is safe.  If ``removals`` is given, every
+    round appends the worlds it removed.
+
+    ``stable_revision`` and ``oracle.brute_stable`` pass the candidate
+    as both ``pinned`` and ``stop``.  ``oracle.algebraic_wf`` passes
+    ``stop = 0``, so the loop never aborts, and raw pinned masks that
+    need not be consistent with Z.  On those pairs the evaluator's
+    independent truth and falsity checks amount to the four-valued
+    reading of the K clauses (truth over the first coordinate, falsity
+    over the pinned second), which coincides with the standard
+    three-valued reading whenever the pair is consistent.
     """
-    _require_same_vocabulary(b.vocabulary, ctx.vocabulary)
     z = ctx.vocabulary.full_mask
     while True:
-        _, f_mask = ctx.status_masks(z, b.mask)
+        _, f_mask = ctx.status_masks(z, pinned)
         removed = z & f_mask
         if not removed:
-            return BeliefState(b.vocabulary, z)
-        if removed & b.mask:
-            return NOT_STABLE
-        if log is not None:
-            log.removals.append(removed)
+            return z
+        if removed & stop:
+            return None
+        if removals is not None:
+            removals.append(removed)
         z &= ~removed
+
+
+def stable_revision(ctx: OperatorContext, b: BeliefState,
+                    log: RevisionLog | None = None) -> BeliefState | NotStableSignal:
+    """Delete refutable worlds under b's pinned ignorance until none remain
+    (``revise_masks`` with b pinned and as the stop set).  Returns
+    ``NOT_STABLE`` if the run would remove a world of b itself: the pair
+    would stop being consistent and could no longer land on b."""
+    _require_same_vocabulary(b.vocabulary, ctx.vocabulary)
+    z = revise_masks(ctx, b.mask, b.mask, None if log is None else log.removals)
+    return NOT_STABLE if z is None else BeliefState(b.vocabulary, z)
 
 
 def klfp_moore(ctx: OperatorContext) -> BeliefState:
@@ -195,11 +229,10 @@ def klfp_moore(ctx: OperatorContext) -> BeliefState:
     """
     if not only_negative(ctx.theory):
         raise ValueError("klfp_moore requires a theory with only negative K occurrences")
-    b = BeliefState.full(ctx.vocabulary)
+    b = ctx.vocabulary.full_mask
     for _ in range(ctx.vocabulary.world_count + 2):
-        nxt = moore_step(ctx, b)
+        nxt = ctx.kleene_masks(b, b)[0]
         if nxt == b:
-            return b
+            return BeliefState(ctx.vocabulary, b)
         b = nxt
     raise InternalInvariantError("moore_step iteration failed to converge")
-

@@ -2,10 +2,11 @@
 
 These deliberately avoid the clever candidate generation used by the
 production solvers: expansions and stable extensions are found by
-testing every subset of worlds, and the well-founded extension is
-recomputed as the limit of the alternating stable-revision pair
-iteration.  Agreement between the two routes is what ``nmr check``
-verifies.  Everything here is exponential in 2^n and capped.
+testing every subset of worlds against the definition on its mask,
+and the well-founded extension is recomputed as the limit of the
+alternating stable-revision pair iteration.  Agreement between the two
+routes is what ``nmr check`` verifies.  Everything here is exponential
+in 2^n and capped.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InternalInvariantError, ResourceCapError
-from .operators import OperatorContext, moore_step, stable_revision
+from .operators import OperatorContext, revise_masks
 from .truth import TruthFunctionKind
 from .worlds import BeliefState, PartialBeliefState
 
@@ -52,52 +53,25 @@ def _check_enumerable(ctx: OperatorContext, budget: OracleBudget) -> None:
 def brute_expansions(ctx: OperatorContext, budget: OracleBudget = OracleBudget()) -> list[BeliefState]:
     """Every subset of worlds the one-step revision maps to itself."""
     _check_enumerable(ctx, budget)
-    out = []
-    for mask in range(ctx.vocabulary.full_mask + 1):
-        b = BeliefState(ctx.vocabulary, mask)
-        if moore_step(ctx, b) == b:
-            out.append(b)
-    return out
+    return [BeliefState(ctx.vocabulary, m) for m in range(ctx.vocabulary.full_mask + 1)
+            if ctx.kleene_masks(m, m)[0] == m]
 
 
 def brute_stable(ctx: OperatorContext, budget: OracleBudget = OracleBudget()) -> list[BeliefState]:
     """Every subset of worlds reproduced by its own stable revision."""
     _check_enumerable(ctx, budget)
-    out = []
-    for mask in range(ctx.vocabulary.full_mask + 1):
-        b = BeliefState(ctx.vocabulary, mask)
-        if stable_revision(ctx, b) == b:
-            out.append(b)
-    return out
-
-
-def _unrestricted_stable(ctx: OperatorContext, pinned_mask: int) -> int:
-    """Stable revision with the second coordinate pinned to an arbitrary mask.
-
-    Unlike ``stable_revision`` this never aborts: the alternating
-    iteration below feeds it raw mask pairs that need not be
-    consistent.  On those pairs the evaluator's independent truth and
-    falsity checks amount to the four-valued reading of the K clauses
-    (truth over the first coordinate, falsity over the pinned second),
-    which coincides with the standard three-valued reading whenever the
-    pair is consistent.
-    """
-    z = ctx.vocabulary.full_mask
-    while True:
-        _, f_mask = ctx.status_masks(z, pinned_mask)
-        nz = z & ~f_mask
-        if nz == z:
-            return z
-        z = nz
+    return [BeliefState(ctx.vocabulary, m) for m in range(ctx.vocabulary.full_mask + 1)
+            if revise_masks(ctx, m, m) == m]
 
 
 def algebraic_wf(ctx: OperatorContext, budget: OracleBudget = OracleBudget()) -> PartialBeliefState:
     """Limit of (x, y) -> (S(y), S(x)) from the least-precise pair.
 
-    S is the unrestricted stable revision.  The limit of this
-    alternating iteration is the well-founded fixpoint; it must be a
-    consistent pair, and an inconsistent limit is reported as a
-    diagnostic rather than silently clamped.
+    S is the stable revision with its second coordinate pinned to an
+    arbitrary mask and no abort: ``revise_masks`` with ``stop = 0``.
+    The limit of this alternating iteration is the well-founded
+    fixpoint; it must be a consistent pair, and an inconsistent limit
+    is reported as a diagnostic rather than silently clamped.
 
     Three-valued contexts only.  The alternating construction relies on
     the revision operator being symmetric in its two coordinates; the
@@ -110,7 +84,7 @@ def algebraic_wf(ctx: OperatorContext, budget: OracleBudget = OracleBudget()) ->
     _check_budget(ctx, budget)
     x, y = ctx.vocabulary.full_mask, 0
     for _ in range(2 * ctx.vocabulary.world_count + 2):
-        nx, ny = _unrestricted_stable(ctx, y), _unrestricted_stable(ctx, x)
+        nx, ny = revise_masks(ctx, y, 0), revise_masks(ctx, x, 0)
         if (nx, ny) == (x, y):
             break
         x, y = nx, ny

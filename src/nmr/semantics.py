@@ -20,12 +20,10 @@ from .syntax import collect_modal_subformulas
 from .truth import TruthFunctionKind
 from .worlds import BeliefState, PartialBeliefState, bottom_p, set_bits
 from .operators import (
-    NOT_STABLE,
     OperatorContext,
     RevisionLog,
     kk_closure,
     kk_lfp,
-    moore_step,
     stable_revision,
 )
 
@@ -93,25 +91,12 @@ class SemanticsResult:
 # Kripke-Kleene
 # ---------------------------------------------------------------------------
 
-def _kk_closure(ctx: OperatorContext, pb: PartialBeliefState,
-                steps: list[TraceStep]) -> PartialBeliefState:
-    """``kk_closure`` above pb, appending its steps to the trace steps."""
-    changes: list[tuple[int, int]] = []
-    fix = kk_closure(ctx, pb, changes)
-    for newly_false, newly_true in changes:
-        if newly_false:
-            steps.append(TraceStep(STEP_KK, newly_false, "f"))
-        if newly_true:
-            steps.append(TraceStep(STEP_KK, newly_true, "t"))
-    return fix
-
-
 def kripke_kleene_extension(ctx: OperatorContext) -> SemanticsResult:
     """The precision-least fixpoint of the three-valued revision, with trace."""
     start = bottom_p(ctx.vocabulary)
-    steps: list[TraceStep] = []
-    fix = _kk_closure(ctx, start, steps)
-    trace = DerivationTrace(start, tuple(steps), fix)
+    settled: list[tuple[int, str]] = []
+    fix = kk_closure(ctx, start, settled)
+    trace = DerivationTrace(start, tuple(TraceStep(STEP_KK, m, s) for m, s in settled), fix)
     return SemanticsResult(KK, ctx.truth, (fix,), (trace,))
 
 
@@ -244,7 +229,8 @@ def expansions(ctx: OperatorContext, max_modal: int = DEFAULT_MODAL_CAP) -> Sema
 
     Every candidate already is one; the test is the definition itself,
     re-checked at one revision per expansion."""
-    found = [b for b in expansion_candidates(ctx, max_modal) if moore_step(ctx, b) == b]
+    found = [b for b in expansion_candidates(ctx, max_modal)
+             if ctx.kleene_masks(b.mask, b.mask)[0] == b.mask]
     return SemanticsResult(EXPANSION, ctx.truth,
                            tuple(PartialBeliefState.total(b) for b in found))
 
@@ -257,18 +243,16 @@ def stable_extensions(ctx: OperatorContext, max_modal: int = DEFAULT_MODAL_CAP) 
     """The candidates are the expansions (stable states are always
     fixpoints of the one-step revision); each is kept iff its stable
     revision reproduces it."""
-    results = []
-    traces = []
+    results, traces = [], []
     full = BeliefState.full(ctx.vocabulary)
     for b in expansion_candidates(ctx, max_modal):
         log = RevisionLog()
-        outcome = stable_revision(ctx, b, log)
-        if outcome is NOT_STABLE or outcome != b:
+        if stable_revision(ctx, b, log) != b:   # NOT_STABLE included
             continue
+        total = PartialBeliefState.total(b)
         steps = tuple(TraceStep(STEP_STABLE_REMOVAL, m, "f") for m in log.removals)
-        results.append(PartialBeliefState.total(b))
-        traces.append(DerivationTrace(PartialBeliefState(full, b), steps,
-                                      PartialBeliefState.total(b)))
+        results.append(total)
+        traces.append(DerivationTrace(PartialBeliefState(full, b), steps, total))
     return SemanticsResult(STABLE, ctx.truth, tuple(results), tuple(traces))
 
 
@@ -311,7 +295,9 @@ def well_founded_extension(ctx: OperatorContext) -> SemanticsResult:
     steps: list[TraceStep] = []
     pb = start
     for _ in range(ctx.vocabulary.world_count + 2):
-        pb = _kk_closure(ctx, pb, steps)
+        settled: list[tuple[int, str]] = []
+        pb = kk_closure(ctx, pb, settled)
+        steps += [TraceStep(STEP_KK, m, s) for m, s in settled]
         u = greatest_unfounded_set(ctx, pb)
         if not u:
             break

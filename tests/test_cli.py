@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import nmr.cli
+import nmr.operators
 import nmr.semantics
 import nmr.truth
 from nmr.cli import (
@@ -347,6 +348,17 @@ def test_exit_code_resource_cap(corpus, capsys):
     assert "resource cap" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv,flag,value", [
+    (["solve", "--semantics", "kk", "--max-atoms", "-1"], "--max-atoms", -1),
+    (["check", "--budget", "-3"], "--budget", -3),
+], ids=["max-atoms", "budget"])
+def test_a_negative_atom_cap_is_a_usage_error(corpus, capsys, argv, flag, value):
+    code, out, err = _in_process([*argv, "--input", str(corpus / "nixon.dt")], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: nmr ")
+    assert err.endswith(f"error: argument {flag}: must be at least 0, got {value}\n")
+
+
 def _limit_address_space_to_1_gib():
     # A 2^n-bit allocation then fails in the child instead of taking the
     # host's memory.
@@ -461,15 +473,22 @@ def test_exit_code_internal_invariant_violation(corpus, monkeypatch, capsys):
 
 
 def test_check_detects_injected_evaluation_bug(corpus, monkeypatch):
-    # Corrupt the fast route only: flip one world in every one-step revision
-    # used by the expansion solver; the brute-force oracle is untouched.
-    real = nmr.semantics.moore_step
+    # Corrupt the fast route only: flip one world in every reduct value
+    # that the expansion solver's K-guess search reads; the brute-force
+    # oracle evaluates the whole theory and is untouched.
+    real = nmr.operators.theory_closures
 
-    def broken(ctx, b):
-        out = real(ctx, b)
-        return BeliefState(out.vocabulary, out.mask ^ 1)
+    def flipped(part):
+        def ev(x, y):
+            t_mask, f_mask = part(x, y)
+            return t_mask ^ 1, f_mask
+        return ev
 
-    monkeypatch.setattr(nmr.semantics, "moore_step", broken)
+    def broken(theory):
+        *closures, formula_reads = real(theory)
+        return (*closures, [(reads, flipped(part)) for reads, part in formula_reads])
+
+    monkeypatch.setattr(nmr.operators, "theory_closures", broken)
     buf = io.StringIO()
     assert run_check(corpus / "truthsayer.ael", out=buf) == 4
     out = buf.getvalue()

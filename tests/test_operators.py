@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from nmr.errors import VocabularyMismatchError
+from nmr.errors import InternalInvariantError, VocabularyMismatchError
 from nmr.operators import (
     NOT_STABLE,
     OperatorContext,
@@ -11,6 +11,7 @@ from nmr.operators import (
     kk_lfp,
     klfp_moore,
     moore_step,
+    revise_masks,
     stable_revision,
 )
 from nmr.syntax import parse_theory
@@ -172,3 +173,59 @@ def test_operators_reject_a_state_over_another_vocabulary():
         approx_step(ctx, bottom_p(VPQ))
     with pytest.raises(VocabularyMismatchError, match="vocabulary mismatch"):
         stable_revision(ctx, BeliefState.full(VPQ))
+
+
+def _small_theories(seed, count=60):
+    """Seeded contexts over one to three atoms, three-valued."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        yield OperatorContext(rand_theory(rng, ["P", "Q", "R"][:rng.randint(1, 3)]))
+
+
+def _patch_status(ctx, change):
+    """Make ctx's status function return change(pp, cp, t_mask, f_mask)."""
+    real = ctx.kleene_masks
+    object.__setattr__(ctx, "kleene_masks",
+                       lambda pp, cp: change(pp, cp, *real(pp, cp)))
+
+
+def test_kk_lfp_refuses_a_step_that_shrinks_cp():
+    # Until cp first gains a world the patched steps are the real ones;
+    # the step after that drops all of it, which must not pass unseen.
+    checked = 0
+    for ctx in _small_theories(11):
+        if not kk_lfp(ctx).cp.mask:
+            continue
+        _patch_status(ctx, lambda pp, cp, t_mask, f_mask: (t_mask & ~cp, f_mask))
+        with pytest.raises(InternalInvariantError, match="not precision-increasing"):
+            kk_lfp(ctx)
+        checked += 1
+    assert checked >= 10
+
+
+def test_kk_lfp_refuses_an_inconsistent_pair():
+    # World 0 reads both true and false: certainly possible, yet impossible.
+    for ctx in _small_theories(12, 20):
+        _patch_status(ctx, lambda pp, cp, t_mask, f_mask: (t_mask | 1, f_mask | 1))
+        with pytest.raises(InternalInvariantError, match="approx_step gave an inconsistent pair"):
+            kk_lfp(ctx)
+
+
+def _alternating_revision(ctx, pinned_mask):
+    """The revision of the alternating well-founded iteration, written out
+    on its own: pinned to any mask, never aborting."""
+    z = ctx.vocabulary.full_mask
+    while True:
+        _, f_mask = ctx.status_masks(z, pinned_mask)
+        nz = z & ~f_mask
+        if nz == z:
+            return z
+        z = nz
+
+
+def test_revise_masks_without_a_stop_set_never_aborts():
+    # Every pinned mask, so also the raw ones no longer inside the
+    # revised set once it shrinks.
+    for ctx in _small_theories(13):
+        for pinned in range(ctx.vocabulary.full_mask + 1):
+            assert revise_masks(ctx, pinned, 0) == _alternating_revision(ctx, pinned)
