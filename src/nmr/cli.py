@@ -14,8 +14,9 @@ error (argparse's own exit code, e.g. ``--semantics reiter`` on an
 from ``check``.
 Output is deterministic: identical inputs produce byte-identical output.
 ``--json`` output has the layout ``json.dumps`` gives with an indent of
-2, written directly by ``solve_payload`` (each world's atom list is
-encoded once per call); ``tests/test_golden.py`` pins it byte for byte.
+2, written directly by ``solve_payload``: each printed world's atom list
+is laid out once per call, from the world-name table of
+``worlds.world_pieces``; ``tests/test_golden.py`` pins it byte for byte.
 """
 
 from __future__ import annotations
@@ -33,7 +34,13 @@ from .defaults import (
     parse_default_theory,
     reiter_extensions,
 )
-from .errors import InternalInvariantError, NmrError, ParseError, ResourceCapError
+from .errors import (
+    InternalInvariantError,
+    NmrError,
+    ParseError,
+    ResourceCapError,
+    VocabularyMismatchError,
+)
 from .operators import OperatorContext
 from .oracle import OracleBudget, algebraic_wf, brute_expansions, brute_stable
 from .semantics import (
@@ -52,9 +59,11 @@ from .worlds import (
     BeliefState,
     PartialBeliefState,
     Vocabulary,
+    atom_bits,
     atom_worlds_mask,
     enumerate_worlds,
     set_bits,
+    world_pieces,
     world_texts,
 )
 
@@ -134,15 +143,19 @@ def solve_payload(vocabulary: Vocabulary, logic: str, semantics: str,
     union = 0
     for m in masks:
         union |= m
-    # Each world's sorted atom list, laid out once at depth 0.
-    names = sorted((name, 1 << k) for k, name in enumerate(vocabulary.atoms))
-    names = [(json.dumps(name), bit) for name, bit in names]
-    leaves = {i: _json_list([s for s, bit in names if i & bit], 0) for i in set_bits(union)}
+    # Each world's sorted atom list, laid out once as ``_json_list(atoms, 0)``
+    # lays it out (inline: this runs for every printed world).
+    indices = list(set_bits(union))
+    pieces = [(bit, json.dumps(name)) for bit, name in atom_bits(vocabulary, by_name=True)]
+    leaves = dict(zip(indices, ["[\n  " + ",\n  ".join(atoms) + "\n]"
+                                for atoms in world_pieces(pieces, indices)]))
+    if union & 1:
+        leaves[0] = "[]"
 
     def worlds(mask: int, d: int) -> str:
         if not mask:
             return "[]"
-        body = ",\n".join([leaves[i] for i in set_bits(mask)])
+        body = ",\n".join(map(leaves.__getitem__, set_bits(mask)))
         return _json_list([body.replace("\n", "\n" + "  " * (d + 1))], d)
 
     def state(p: PartialBeliefState, d: int) -> str:
@@ -178,16 +191,24 @@ def replay_trace_payload(payload: dict) -> list[dict]:
     results exactly.
     """
     vocab = Vocabulary(tuple(payload["vocabulary"]))
+    bits = {name: bit for bit, name in atom_bits(vocab)}
 
-    def world_index(atoms: list[str]) -> int:
-        return sum(1 << vocab.index(a) for a in atoms)
+    def mask_of(worlds: list[list[str]]) -> int:
+        mask = 0
+        try:
+            for w in worlds:
+                mask |= 1 << sum(map(bits.__getitem__, w))
+        except KeyError as exc:
+            raise VocabularyMismatchError(
+                f"atom {exc.args[0]!r} is not in the vocabulary {list(vocab.atoms)}") from None
+        return mask
 
     finals = []
     for t in payload.get("traces", []):
-        pp = sum(1 << world_index(w) for w in t["initial"]["pp"])
-        cp = sum(1 << world_index(w) for w in t["initial"]["cp"])
+        pp = mask_of(t["initial"]["pp"])
+        cp = mask_of(t["initial"]["cp"])
         for step in t["steps"]:
-            mask = sum(1 << world_index(w) for w in step["worlds"])
+            mask = mask_of(step["worlds"])
             if step["status"] == "t":
                 cp |= mask
             else:

@@ -22,11 +22,12 @@ from nmr.cli import (
     solve_payload,
 )
 from nmr.defaults import dl_semantics, konolige, parse_default_theory
+from nmr.errors import VocabularyMismatchError
 from nmr.operators import OperatorContext
 from nmr.semantics import KK, SOLVERS, WF
 from nmr.syntax import objective, parse_theory
 from nmr.truth import TruthFunctionKind
-from nmr.worlds import BeliefState, PartialBeliefState
+from nmr.worlds import PartialBeliefState
 
 from helpers import rand_default_theory, rand_theory
 
@@ -141,8 +142,25 @@ def test_large_trace_replay_reconstructs_results(tmp_path, capsys):
     assert replay_trace_payload(payload) == payload["results"]
 
 
+def test_trace_replay_refuses_an_atom_outside_the_vocabulary(corpus, capsys):
+    assert solve("--semantics", "wf", "--input", str(corpus / "iff_knowledge.ael"),
+                 "--json", "--trace") == 0
+    payload = json.loads(capsys.readouterr().out)
+    payload["traces"][0]["initial"]["pp"].append(["nowhere"])
+    with pytest.raises(VocabularyMismatchError, match="'nowhere'"):
+        replay_trace_payload(payload)
+
+
+def _reference_worlds(vocabulary, mask) -> list[list[str]]:
+    """Each world of mask, ascending, as its sorted true atoms: a per-world
+    filter of its own, so the writer's shared name table is not on both
+    sides of the comparison."""
+    return [sorted(a for k, a in enumerate(vocabulary.atoms) if i >> k & 1)
+            for i in range(vocabulary.world_count) if mask >> i & 1]
+
+
 def _reference_payload(vocabulary, logic, semantics, result, include_trace) -> dict:
-    """The ``--json`` payload as a dict, built from the ``to_json`` methods."""
+    """The ``--json`` payload as a dict, built from the result objects."""
     def consequences(worlds):
         out = []
         for a in vocabulary.atoms:
@@ -152,20 +170,27 @@ def _reference_payload(vocabulary, logic, semantics, result, include_trace) -> d
                 out.append("~" + a)
         return out
 
+    def state(p):
+        return {"kind": "total" if p.is_total else "partial",
+                "pp": _reference_worlds(vocabulary, p.pp.mask),
+                "cp": _reference_worlds(vocabulary, p.cp.mask)}
+
     payload = {
         "vocabulary": list(vocabulary.atoms),
         "logic": logic,
         "semantics": semantics,
         "truth": result.truth.value,
-        "results": [r.to_json() for r in result.results],
-        "objective_consequences": [consequences(r.pp.to_json()) if r.is_total else None
-                                   for r in result.results],
+        "results": [state(r) for r in result.results],
+        "objective_consequences": [
+            consequences(_reference_worlds(vocabulary, r.pp.mask)) if r.is_total else None
+            for r in result.results],
     }
     if include_trace:
         payload["traces"] = [{
-            "initial": {"pp": t.initial.pp.to_json(), "cp": t.initial.cp.to_json()},
+            "initial": {"pp": _reference_worlds(vocabulary, t.initial.pp.mask),
+                        "cp": _reference_worlds(vocabulary, t.initial.cp.mask)},
             "steps": [{"kind": s.kind, "status": s.status,
-                       "worlds": BeliefState(vocabulary, s.mask).to_json()} for s in t.steps],
+                       "worlds": _reference_worlds(vocabulary, s.mask)} for s in t.steps],
         } for t in result.traces]
     return payload
 

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import nmr.worlds
 from nmr.errors import InternalInvariantError, ResourceCapError, VocabularyMismatchError
 from nmr.truth import entails
 from nmr.worlds import (
@@ -13,6 +14,8 @@ from nmr.worlds import (
     enumerate_worlds,
     leq_k,
     leq_p,
+    world_pieces,
+    world_texts,
 )
 
 from helpers import bstate, dnf_formula, pstate, rand_partial_state, world
@@ -173,3 +176,38 @@ def test_display_strings_match_a_per_atom_reference():
         for i in [0, vocab.world_count - 1] + [rng.randrange(vocab.world_count)
                                                for _ in range(4)]:
             assert str(World(vocab, i)) == _world_text(vocab, i)
+
+
+def _sorted_atoms(vocab: Vocabulary, i: int) -> list[str]:
+    return sorted(a for k, a in enumerate(vocab.atoms) if i >> k & 1)
+
+
+def test_world_renderers_match_a_per_world_filter_on_both_sides_of_the_size_rule():
+    # Few worlds keep world_pieces' filter, many take its half tables; the
+    # masks below reach both for every n, and odd n splits the atoms unevenly.
+    rng = random.Random(29)
+    names = ["b", "a", "B", "_c", "Z", "q10", "q2", "é", "x", "Y", "w", "v"]
+    for n in range(13):
+        vocab = Vocabulary(tuple(names[:n]))
+        last = vocab.world_count - 1
+        masks = [0, 1, 1 << last, 1 << rng.randrange(vocab.world_count), vocab.full_mask,
+                 rng.randrange(vocab.full_mask + 1)]
+        for mask in masks:
+            worlds = [i for i in range(vocab.world_count) if mask >> i & 1]
+            assert world_texts(vocab, mask) == [_world_text(vocab, i) for i in worlds]
+            assert BeliefState(vocab, mask).to_json() == [_sorted_atoms(vocab, i)
+                                                          for i in worlds]
+        for i in (0, last, rng.randrange(vocab.world_count)):
+            assert World(vocab, i).to_json() == _sorted_atoms(vocab, i)
+
+
+def test_world_pieces_takes_the_tables_only_for_many_worlds(monkeypatch):
+    built = []
+    half_table = nmr.worlds._half_table
+    monkeypatch.setattr(nmr.worlds, "_half_table", lambda p: built.append(p) or half_table(p))
+    pieces = [(1 << k, f"A{k}") for k in range(12)]
+    assert world_pieces(pieces, [5, 4095]) == [["A0", "A2"], [f"A{k}" for k in range(12)]]
+    assert not built
+    dense = world_pieces(pieces, range(4096))
+    assert built == [pieces[:6], pieces[6:]]
+    assert dense[5] == ["A0", "A2"] and dense[4095] == [f"A{k}" for k in range(12)]
