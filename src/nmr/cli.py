@@ -284,8 +284,10 @@ def run_check(path: Path, truth: TruthFunctionKind = TruthFunctionKind.KLEENE,
         reiter = reiter_extensions(dt)
         ctx = OperatorContext(konolige(dt), truth)
         fast_stable = stable_extensions(ctx).belief_states()
-        print(f"aligned: {len(reiter)} = {len(fast_stable)} extensions", file=out)
-        if reiter != fast_stable:
+        agree = reiter == fast_stable
+        print(f"aligned: {len(reiter)} {'=' if agree else '!='} {len(fast_stable)} extensions",
+              file=out)
+        if not agree:
             disagreements.append(
                 "reiter extensions != stable extensions of the translation:\n"
                 f"  direct:     {[str(b) for b in reiter]}\n"
@@ -297,8 +299,10 @@ def run_check(path: Path, truth: TruthFunctionKind = TruthFunctionKind.KLEENE,
 
     fast_exp = [s.pp for s in expansions(ctx).results]
     brute_exp = brute_expansions(ctx, budget)
-    print(f"expansions: fast {len(fast_exp)} = brute {len(brute_exp)}", file=out)
-    if fast_exp != brute_exp:
+    agree = fast_exp == brute_exp
+    print(f"expansions: fast {len(fast_exp)} {'=' if agree else '!='} brute {len(brute_exp)}",
+          file=out)
+    if not agree:
         disagreements.append(
             f"expansions differ:\n  fast:  {[str(b) for b in fast_exp]}\n"
             f"  brute: {[str(b) for b in brute_exp]}"
@@ -307,8 +311,10 @@ def run_check(path: Path, truth: TruthFunctionKind = TruthFunctionKind.KLEENE,
     if fast_stable is None:
         fast_stable = stable_extensions(ctx).belief_states()
     brute_st = brute_stable(ctx, budget)
-    print(f"stable: fast {len(fast_stable)} = brute {len(brute_st)}", file=out)
-    if fast_stable != brute_st:
+    agree = fast_stable == brute_st
+    print(f"stable: fast {len(fast_stable)} {'=' if agree else '!='} brute {len(brute_st)}",
+          file=out)
+    if not agree:
         disagreements.append(
             f"stable extensions differ:\n  fast:  {[str(b) for b in fast_stable]}\n"
             f"  brute: {[str(b) for b in brute_st]}"

@@ -63,16 +63,21 @@ class OperatorContext:
     #: The models of the theory's objective members, which
     #: ``kleene_masks`` folds into its starting masks.
     objective_mask: int = field(init=False, repr=False, compare=False)
+    #: Item i is the atoms of slot i's x, as a mask of vocabulary indices.
+    slot_atoms: list[int] = field(init=False, repr=False, compare=False)
+    #: The atoms outside any K of each member, as masks: the objective
+    #: members first, then the others in the order of ``formula_reads``.
+    member_atoms: list[int] = field(init=False, repr=False, compare=False)
     #: The (reads, closure) pair of every other member, in theory order:
     #: bit i of reads is set iff the member reads guess slot i, and
     #: ``closure(None, guess)`` is the member's reduct value.
-    formula_reads: list[tuple[int, Callable[[int, int], tuple[int, int]]]] = field(
+    formula_reads: list[tuple[int, Callable[[None, int], tuple[int, int]]]] = field(
         init=False, repr=False, compare=False)
 
     def __post_init__(self):
         names = ("kleene_masks", "knows_masks", "slot_models", "objective_mask",
-                 "formula_reads")
-        for name, value in zip(names, theory_closures(self.theory)):
+                 "slot_atoms", "member_atoms", "formula_reads")
+        for name, value in zip(names, theory_closures(self.theory), strict=True):
             object.__setattr__(self, name, value)
 
     def kleene_view(self) -> "OperatorContext":

@@ -107,7 +107,7 @@ def kripke_kleene_extension(ctx: OperatorContext) -> SemanticsResult:
 def expansion_candidates(ctx: OperatorContext,
                          max_modal: int = DEFAULT_MODAL_CAP) -> list[BeliefState]:
     """The expansions of the theory, each once, mask-ascending, found by
-    a depth-first search over K-guesses.
+    a depth-first search over K-guesses split into atom-disjoint groups.
 
     A guess gives a truth value to every K x that lies outside any other
     K, bit i to slot i of ``ctx.knows_masks``; the reduct replaces each
@@ -118,49 +118,70 @@ def expansion_candidates(ctx: OperatorContext,
     Nothing is compiled here.
 
     The three-valued (Kleene) Kripke-Kleene state kk = (hi, lo) fixes
-    every K x it makes true or false to that value.  The undecided
-    slots are then guessed depth first, in slot order, from an explicit
-    stack.  A node at depth d has the first d undecided slots guessed
-    and holds the mask of the members complete so far.  The root mask
-    is the models of the objective members and of every member that
-    reads no undecided slot, evaluated once at the fixed guess.  Any
-    other member is ANDed in at the depth of its last undecided slot,
-    so a node costs only the members that complete there.
+    every K x it makes true or false to that value.  The root mask is
+    the models of the objective members and of every member that reads
+    no undecided slot, evaluated once at the fixed guess.  The undecided
+    slots, the members that read them and the atoms they touch are
+    merged into atom-disjoint groups (``_groups``): two share a group
+    when they share an atom or a slot, the atoms of a slot being those
+    of its argument and those of a member the ones outside any K, and
+    every other member links its own atoms.
 
-    A node, the root included, is dropped in two cases.  (1) Its mask
-    loses a world of lo: masks only shrink down the tree, so no leaf
-    below it contains lo, and every expansion does (below).  (2) Its
-    mask is 0 while a decided guess bit is 0: every leaf below has the
-    empty mask, where every K x reads true, so the leaf test fails on
-    that bit.  A leaf, a total guess g whose reduct has the models m,
-    is kept iff m lies in hi and the K x of every undecided slot, read
-    at (m, m), returns its bit of g.
+    Each group is searched from the root (``_guess_leaves``): its slots
+    are guessed depth first, in slot order, from an explicit stack, and
+    a node at depth d holds the root ANDed with the members of the group
+    complete at its first d slots; a member is ANDed in at the depth of
+    its last slot in the group, so a node costs only the members that
+    complete there.  A node is dropped when its mask is 0 or loses a
+    world of lo: masks only shrink down the tree.  A leaf, the group's
+    slots guessed and its mask m_G, is kept iff the K x of every slot of
+    the group, read at (m_G, m_G), returns its bit of the guess.  A
+    candidate is the AND m of one kept leaf per group (the root when no
+    slot is undecided), kept iff m is not 0 and lo <= m <= hi.  The
+    empty state is decided once, on the whole theory: it is kept iff lo
+    is 0 and it is an expansion, that is ``kleene_masks(0, 0)`` has no
+    true world.
 
-    The leaves kept are exactly the expansions, each once.  For a belief
-    state E let g_E be the guess it induces, bit i being the value of
-    slot i's K x at (E, E).  Such a K x is world-independent, so on the
-    total state (E, E) the theory takes its g_E-reduct's value:
-    ``moore_step`` maps E to the models of the g_E-reduct.
+    For a belief state E let g_E be the guess it induces, bit i being
+    the value of slot i's K x at (E, E).  Such a K x is
+    world-independent, so on the total state (E, E) the theory takes its
+    g_E-reduct's value: ``moore_step`` maps E to the models of the
+    g_E-reduct, and E is an expansion iff it is the reduct's models
+    under its own guess.
 
-    * Sound.  A kept leaf (g, m) has lo <= m (case 1 at every level)
-      and m <= hi, so (m, m) is at least as precise as kk.  Kleene
-      evaluation is precision-monotone, so every fixed slot reads at
-      (m, m) the value kk gave it, and the leaf test checks the other
-      slots: g = g_m.  Then ``moore_step`` maps m to the models of the
-      g-reduct, which is m, and m is an expansion.
+    * The groups factor.  A member's reduct is a cylinder over its own
+      atoms: its K x are constants, so it reads a world only through the
+      atoms outside any K.  At a guess g the reduct's models are then
+      m = AND_C P_C(g), one factor per atom-disjoint component C (the
+      groups, and the components that hold no undecided slot, whose
+      factor is fixed and lies in the root), each a cylinder over C's
+      atoms that reads only C's slots.  A group G's leaf mask is m_G =
+      P_G(g) AND the other components' fixed factors, so m is the AND of
+      the m_G.  If m != 0, every factor is non-empty, and as cylinders
+      over disjoint atoms m and m_G have the same projection on G's
+      atoms.  The argument x of a slot of G has its atoms in G, so its
+      models (a K nested in x read at the same state, by induction on
+      the nesting) are a cylinder over G's atoms, and m <= models(x) iff
+      m_G <= models(x): each slot's K x reads the same at its group's
+      leaf as at m.
+    * Sound.  A kept candidate m has lo <= m <= hi, so (m, m) is at
+      least as precise as kk.  Kleene evaluation is precision-monotone,
+      so every fixed slot reads at (m, m) the value kk gave it, and by
+      the above the leaf tests check the undecided slots: g = g_m.  Then
+      ``moore_step`` maps m to the models of the g-reduct, which is m,
+      and m is an expansion.
     * Complete.  Let E be an expansion.  The total state (E, E) is a
       fixpoint of the Kleene revision, which agrees with the one-step
       revision on total states, and kk is that revision's least fixpoint
-      in the precision order, so kk <=_p (E, E): lo <= E <= hi.
-      Precision monotonicity again gives g_E the value kk fixed on every
-      slot kk decides, so the search reaches each prefix of g_E.  Each
-      node on that path ANDs the g_E-reduct values of some members, so
-      its mask contains their conjunction E, and with it lo: case 1
-      never drops it.  If the mask is 0, then E is empty and g_E is all
-      true, so case 2 never drops it either.  At the leaf m = E, which
-      lies in hi, and g_E = g_m: the leaf is kept.
-    * Once.  A kept leaf has g = g_m, so two kept leaves with one mask
-      have one guess, and the search visits each guess at most once.
+      in the precision order, so kk <=_p (E, E): lo <= E <= hi.  If E
+      is empty, lo is 0 and E is kept as the empty state.  Otherwise
+      precision monotonicity gives g_E the value kk fixed on every slot
+      kk decides, and each group's search reaches its part of g_E: every
+      node on that path contains E, which is not 0 and contains lo, so
+      none is dropped.  Its leaf has m_G containing E and passes, by the
+      above, and the AND of these leaves is E, which is kept.
+    * Once.  A kept candidate has g = g_m, so two with one mask have one
+      guess, and the search visits each guess of a group at most once.
 
     An expansion does not depend on the truth function (``moore_step``
     reads total states only), and every stable extension is an
@@ -180,38 +201,53 @@ def expansion_candidates(ctx: OperatorContext,
     kk = kk_lfp(ctx.kleene_view())
     lo, hi = kk.cp.mask, kk.pp.mask
     knows = list(ctx.knows_masks.values())
-    fixed = 0
-    undecided: list[int] = []
+    fixed = undecided = 0
     for i, ev_knows in enumerate(knows):
         is_true, is_false = ev_knows(hi, lo)
         if is_true:
             fixed |= 1 << i
         elif not is_false:
-            undecided.append(i)
-    # the undecided bits still unguessed at each depth
-    pending = [sum(1 << i for i in undecided[d:]) for d in range(len(undecided) + 1)]
-    depth_of = {slot: d for d, slot in enumerate(undecided, 1)}
-    completes: list[list] = [[] for _ in pending]
+            undecided |= 1 << i
     root = ctx.objective_mask
-    for reads, part in ctx.formula_reads:
-        open_reads = reads & pending[0]
-        if open_reads:
-            completes[depth_of[open_reads.bit_length() - 1]].append(part)
+    objective_count = len(ctx.member_atoms) - len(ctx.formula_reads)
+    linked = ctx.member_atoms[:objective_count]
+    open_members = []
+    for (reads, part), atoms in zip(ctx.formula_reads, ctx.member_atoms[objective_count:]):
+        if reads & undecided:
+            open_members.append((reads, atoms, part))
         else:
             root &= part(None, fixed)[0]
-    every = (1 << len(knows)) - 1
+            linked.append(atoms)
+    groups = _groups(ctx.slot_atoms, undecided, open_members, linked) if undecided else []
+    found = [root]
+    for slots, members in groups:
+        leaves = _guess_leaves(knows, slots, members, root, fixed, lo)
+        found = [m for m in (p & leaf for p in found for leaf in leaves) if m and not lo & ~m]
+    found = [m for m in found if m and not lo & ~m and not m & ~hi]
+    if not lo and not ctx.kleene_masks(0, 0)[0]:
+        found.append(0)
+    return [BeliefState(ctx.vocabulary, m) for m in sorted(found)]
 
-    def dropped(d: int, guess: int, mask: int) -> bool:
-        return bool(lo & ~mask) or (not mask and guess | pending[d] != every)
 
-    found = []
-    stack = [] if dropped(0, fixed, root) else [(0, fixed, root)]
+def _guess_leaves(knows: list, slots: int, members: list, root: int, guess: int,
+                  lo: int) -> list[int]:
+    """The masks of the leaves ``expansion_candidates`` keeps for one
+    group: its slots ``slots`` guessed depth first from ``root``, the
+    other slots at their bits of ``guess``, and each (reads, atoms,
+    closure) of ``members`` ANDed in at the depth of its last slot in
+    the group."""
+    undecided = list(set_bits(slots))
+    depth_of = {slot: d for d, slot in enumerate(undecided, 1)}
+    completes: list[list] = [[] for _ in range(len(undecided) + 1)]
+    for reads, _, part in members:
+        completes[depth_of[(reads & slots).bit_length() - 1]].append(part)
+    leaves = []
+    stack = [(0, guess, root)] if root and not lo & ~root else []
     while stack:
         d, guess, mask = stack.pop()
         if d == len(undecided):
-            if mask & ~hi == 0 and all(
-                    bool(knows[i](mask, mask)[0]) == bool(guess >> i & 1) for i in undecided):
-                found.append(mask)
+            if all(bool(knows[i](mask, mask)[0]) == bool(guess >> i & 1) for i in undecided):
+                leaves.append(mask)
             continue
         bit = 1 << undecided[d]
         d += 1
@@ -219,9 +255,38 @@ def expansion_candidates(ctx: OperatorContext,
             m = mask
             for part in completes[d]:
                 m &= part(None, child)[0]
-            if not dropped(d, child, m):
+            if m and not lo & ~m:
                 stack.append((d, child, m))
-    return [BeliefState(ctx.vocabulary, m) for m in sorted(found)]
+    return leaves
+
+
+def _groups(slot_atoms: list[int], undecided: int, open_members: list,
+            linked: list[int]) -> list[tuple[int, list]]:
+    """The undecided slots and the open members, the (reads, atoms,
+    closure) of each member that reads one, merged into atom-disjoint
+    groups: one (slots, members) pair per group that holds a slot.
+
+    Two items share a group when they share an atom or a slot.  The
+    items are each undecided slot with the atoms of its argument (from
+    ``slot_atoms``), each open member with its atoms and its undecided
+    reads, and the atoms of every other member (``linked``) alone.  The
+    groups stay pairwise disjoint, so merging each item with every group
+    it meets builds them in one pass."""
+    items = [(atoms, 1 << i, ()) for i, atoms in enumerate(slot_atoms) if undecided >> i & 1]
+    items += [(member[1], member[0] & undecided, (member,)) for member in open_members]
+    items += [(atoms, 0, ()) for atoms in linked]
+    groups: list[tuple[int, int, tuple]] = []
+    for atoms, slots, members in items:
+        apart = []
+        for group in groups:
+            if group[0] & atoms or group[1] & slots:
+                atoms |= group[0]
+                slots |= group[1]
+                members += group[2]
+            else:
+                apart.append(group)
+        groups = [*apart, (atoms, slots, members)]
+    return [(slots, list(members)) for _, slots, members in groups if slots]
 
 
 def expansions(ctx: OperatorContext, max_modal: int = DEFAULT_MODAL_CAP) -> SemanticsResult:

@@ -29,15 +29,21 @@ completion induces, not the theory once per completion.
 The same closures give the K-guess reducts behind the expansion
 candidates and the supervaluation.  Each distinct x under a K that lies
 outside any other K is a guess slot, numbered in compile order
-(``theory_closures``).  Called as (None, guess), the closure of such a
-K x returns (full, 0) or (0, full) from bit i of guess, i being its
-slot, and never evaluates x.  So ``run(None, guess)`` is the value of
-the reduct, the objective theory in which each of those K x is replaced
-by its guessed value, and its true mask is the set of the reduct's
-models.  The same compile records, for each member of the theory, the
-mask of the slots it reads, so a search over guesses can evaluate a
-member once its slots are guessed, and for each slot the models of x
-when x is objective (``theory_closures``).
+(``theory_closures``).  At any belief pair such a K x is
+world-independent, so a member of the theory is a function of the
+values of the slots it reads: the compile keeps one table per member
+that is not objective, keyed by those values, and a call evaluates
+each slot once and a member only on a table miss.  Called as (None,
+guess), the theory closure takes the total valuation guess, bit i being
+slot i's value, and never evaluates a slot's x: ``run(None, guess)`` is
+the value of the reduct, the objective theory in which each of those
+K x is replaced by its guessed value, and its true mask is the set of
+the reduct's models.  Both kinds of call share the tables.  The same
+compile records, for each member of the theory, the mask of the slots
+it reads and its atoms outside any K, and for each slot the models of
+x when x is objective and the atoms of x, so a search over guesses can
+evaluate a member once its slots are guessed and split the slots into
+atom-disjoint groups (``semantics.expansion_candidates``).
 """
 
 from __future__ import annotations
@@ -70,6 +76,10 @@ from .worlds import (
 
 #: Largest number of unknown worlds the supervaluation will case-split on.
 DEFAULT_COMPLETION_CAP = 20
+
+#: Most bits of masks the member tables of one compiled theory keep
+#: (``theory_closures``): 4 MiB, which at 16 atoms is 256 entries.
+TABLE_BIT_BUDGET = 1 << 25
 
 
 class TruthValue3(Enum):
@@ -135,12 +145,16 @@ def _compile(f: Formula, vocabulary: Vocabulary, knows):
     ``K`` rule cannot change it, else to a closure (x, y) -> (t, f).
 
     ``knows(x)`` compiles ``K x``; whether and how it compiles x is up
-    to the rule.  The fixpoint loops re-evaluate the same formulas
-    thousands of times, so every K-free subtree is evaluated here once.
+    to the rule.  Every atom met is ORed, as its vocabulary bit, into
+    ``knows.cell[1]``, so a rule learns the atoms of what it compiles.
+    The fixpoint loops re-evaluate the same formulas thousands of
+    times, so every K-free subtree is evaluated here once.
     """
     full = vocabulary.full_mask
     if isinstance(f, Atom):
-        t = atom_worlds_mask(vocabulary.index(f.name), len(vocabulary))
+        i = vocabulary.index(f.name)
+        knows.cell[1] |= 1 << i
+        t = atom_worlds_mask(i, len(vocabulary))
         return t, full & ~t
     if isinstance(f, Top):
         return full, 0
@@ -156,41 +170,108 @@ def _compile(f: Formula, vocabulary: Vocabulary, knows):
     return ev if any(map(callable, parts)) else ev(0, 0)
 
 
-def _three_valued_knows(vocabulary: Vocabulary, slots: dict, slot_models: list,
-                        read: list):
+def _k_value(full: int, part):
+    """The closure (pp, cp) -> (t, f) of K x, x being compiled to
+    ``part``: K x is true when every pp world satisfies x, false when
+    some cp world falsifies it."""
+    if not callable(part):  # an objective x: K x reads only its models
+        fm = part[1]  # the complement of the models
+
+        def ev_objective(pp, cp):
+            return (0 if pp & fm else full, full if fm & cp else 0)
+
+        return ev_objective
+
+    def ev_knows(pp, cp):
+        t, fm = part(pp, cp)
+        return (full if pp & ~t == 0 else 0, full if fm & cp else 0)
+
+    return ev_knows
+
+
+def _three_valued_knows(vocabulary: Vocabulary):
     """The K rule of the evaluator, x and y being the (pp, cp) masks:
-    K x is true when every pp world satisfies x, false when some cp
-    world falsifies it.
-
-    Each distinct x that lies outside any other K is compiled once, and
-    the closure of K x is recorded in ``slots[x]``.  Its insertion index
-    is its guess slot: called as (None, guess), it reads that bit of the
-    guess.  ``slot_models`` gets, in slot order, the models of x when x
-    folds to a constant pair (x is objective), else None.  Each such K
-    ORs its slot's bit into ``read[0]``, so the caller learns which
-    slots a formula reads by clearing the cell before compiling it.  A
-    K nested deeper is compiled with its enclosing argument and not
-    looked up: hashing a formula walks all of it, so a lookup at every
-    nesting level would cost time quadratic in the depth."""
+    every K, nested or not, is ``_k_value`` of its argument."""
     full = vocabulary.full_mask
-    on, off = (full, 0), (0, full)
-    nested = False
-    bits = {}  # the slot bit of each recorded closure, found without hashing x
 
-    def rule(part, slot=None):
-        if not callable(part):  # an objective x: K x reads only its models
-            t, fm = part
+    def knows(sub: Formula):
+        return _k_value(full, _compile(sub, vocabulary, knows))
+
+    knows.cell = [0, 0]
+    return knows
+
+
+def theory_closures(t: Theory):
+    """The theory compiled once, as seven items:
+
+    * ``run``, the closure (pp_mask, cp_mask) -> (true_mask, false_mask)
+      of its three-valued value, and (None, guess) -> the value of its
+      guess-reduct;
+    * its guess slots, the dict from each distinct x under a K outside
+      any other K to the closure (pp, cp) -> (t, f) of K x, slot i being
+      the i-th key;
+    * the list whose item i is the models of slot i's x when x is
+      objective, and None when x holds a K;
+    * the models of its objective (K-free) members;
+    * the list whose item i is the atoms of slot i's x, as a mask of
+      vocabulary indices, nested K included;
+    * the atoms outside any K of each member, as masks: the objective
+      members first, then the others in the order of the next item;
+    * the (reads, closure) pair of each other member, in theory order:
+      reads has bit i set iff the member holds slot i's K outside any
+      other K, and ``closure(None, guess)`` is its reduct's value.
+
+    A member reads the world only through its atoms and each slot's K x
+    only through that slot's value, which is world-independent.  So its
+    value is a function of the slots in its reads, and ``run`` works in
+    three steps: it evaluates each slot once, to the mask t_bits of the
+    slots that are true and f_bits of those that are false (an
+    objective slot straight from its models); it looks each member up in
+    its table under the key (t_bits & reads) | (f_bits & reads) << m, m
+    being the slot count; and only on a miss it calls the member's
+    closure as (None, key), where the K x of slot i reads bit i of each
+    half of the key.  A (None, guess) call is the total valuation
+    t_bits = guess, f_bits = its complement, under the same key, so
+    every caller of ``run`` and of the member closures shares one table
+    per member.  The tables of one compile keep at most
+    ``TABLE_BIT_BUDGET`` bits of masks, an entry counting two masks of
+    one bit per world; a miss past that is evaluated and not kept.
+
+    Each distinct x under a K outside any other K is compiled once, with
+    ``_k_value`` for the K nested in it.  A K nested deeper is compiled
+    with its enclosing argument and not looked up: hashing a formula
+    walks all of it, so a lookup at every nesting level would cost time
+    quadratic in the depth.  Recording the reads, the slot models and
+    the atoms costs no compile and no hash.  Nothing global caches
+    these: the caller keeps them while it evaluates the theory and they
+    are freed with the caller, as ``OperatorContext`` does for a
+    solve."""
+    vocabulary = t.vocabulary
+    full = vocabulary.full_mask
+    slots: dict = {}
+    slot_parts: list = []  # x of each slot, compiled
+    slot_atoms: list = []
+    bits = {}  # the slot bit of each recorded closure, found without hashing x
+    cell = [0, 0]  # the slots a member reads, and the atoms met (``_compile``)
+    nested = False
+
+    def slot_value(part, bit: int):
+        """K x of slot ``bit``: ``_k_value`` at (pp, cp), and at (None,
+        key) its bit of each half of the key.  Written out rather than
+        wrapping ``_k_value``, so a slot costs the compile one closure."""
+        if not callable(part):
+            fm = part[1]
 
             def ev_objective(pp, cp):
                 if pp is None:
-                    return on if cp >> slot & 1 else off
-                return (full if pp & ~t == 0 else 0, full if fm & cp else 0)
+                    return (full if cp & bit else 0, full if cp >> m & bit else 0)
+                return (0 if pp & fm else full, full if fm & cp else 0)
 
             return ev_objective
 
         def ev_knows(pp, cp):
             if pp is None:
-                return on if cp >> slot & 1 else off
+                return (full if cp & bit else 0, full if cp >> m & bit else 0)
             t, fm = part(pp, cp)
             return (full if pp & ~t == 0 else 0, full if fm & cp else 0)
 
@@ -199,77 +280,94 @@ def _three_valued_knows(vocabulary: Vocabulary, slots: dict, slot_models: list,
     def knows(sub: Formula):
         nonlocal nested
         if nested:
-            return rule(_compile(sub, vocabulary, knows))
-        ev_knows = slots.get(sub)
-        if ev_knows is None:
-            nested = True
-            slot = len(slots)
+            return _k_value(full, _compile(sub, vocabulary, knows))
+        ev_slot = slots.get(sub)
+        if ev_slot is None:
+            nested, outer, cell[1] = True, cell[1], 0
             part = _compile(sub, vocabulary, knows)
-            slot_models.append(None if callable(part) else part[0])
-            ev_knows = slots[sub] = rule(part, slot)
             nested = False
-            bits[ev_knows] = 1 << slot
-        read[0] |= bits[ev_knows]
-        return ev_knows
+            slot_atoms.append(cell[1])
+            cell[1] = outer
+            bit = 1 << len(slot_parts)
+            slot_parts.append(part)
+            ev_slot = slots[sub] = slot_value(part, bit)
+            bits[ev_slot] = bit
+        cell[0] |= bits[ev_slot]
+        return ev_slot
 
-    return knows
-
-
-def _conjunction(t: Theory, knows, read: list):
-    """The closure (x, y) -> (t, f) of the conjunction of t's formulas,
-    its constant members folded into the starting masks; the true mask
-    of those members; and the (reads, closure) pair of every other
-    member, reads being the slots ``knows`` recorded in ``read`` while
-    that member compiled."""
-    true0, false0 = t.vocabulary.full_mask, 0
-    parts = []
-    reads = []
+    knows.cell = cell
+    true0, false0 = full, 0
+    objective_atoms, member_atoms, reads, parts = [], [], [], []
     for f in t.formulas:
-        read[0] = 0
-        part = _compile(f, t.vocabulary, knows)
+        cell[0] = cell[1] = 0
+        part = _compile(f, vocabulary, knows)
         if callable(part):
             parts.append(part)
-            reads.append(read[0])
+            reads.append(cell[0])
+            member_atoms.append(cell[1])
         else:
             true0 &= part[0]
             false0 |= part[1]
+            objective_atoms.append(cell[1])
+    m = len(slots)
+    every = (1 << m) - 1
+    slot_models = [None if callable(part) else part[0] for part in slot_parts]
+    # each slot's two key bits, with x's false mask or the closure of K x
+    objective_slots = [(1 << i, 1 << m + i, part[1]) for i, part in enumerate(slot_parts)
+                       if not callable(part)]
+    nested_slots = [(1 << i, 1 << m + i, ev_slot)
+                    for i, (part, ev_slot) in enumerate(zip(slot_parts, slots.values()))
+                    if callable(part)]
+    tables = [{} for _ in parts]
+    members = [(r | r << m, table, part) for r, table, part in zip(reads, tables, parts)]
+    room = TABLE_BIT_BUDGET // (2 * vocabulary.world_count)
 
-    def run(x: int, y: int) -> tuple[int, int]:
+    def miss(table: dict, key: int, part):
+        """A member's value under ``key``, kept in its table while the
+        budget allows."""
+        nonlocal room
+        value = part(None, key)
+        if room:
+            table[key] = value
+            room -= 1
+        return value
+
+    def run(x, y):
+        if x is None:
+            key = y & every
+            key |= (every ^ key) << m
+        else:
+            key = 0
+            for t_bit, f_bit, fm in objective_slots:
+                if not x & fm:
+                    key |= t_bit
+                if y & fm:
+                    key |= f_bit
+            for t_bit, f_bit, ev_slot in nested_slots:
+                is_true, is_false = ev_slot(x, y)
+                if is_true:
+                    key |= t_bit
+                if is_false:
+                    key |= f_bit
         true_acc, false_acc = true0, false0
-        for part in parts:
-            tm, fm = part(x, y)
+        for rr, table, part in members:
+            k = key & rr
+            tm, fm = table.get(k) or miss(table, k, part)
             true_acc &= tm
             false_acc |= fm
         return true_acc, false_acc
 
-    return run, true0, list(zip(reads, parts))
+    def member(r: int, table: dict, part):
+        def tabled(_, guess):
+            t_bits = guess & r
+            key = t_bits | (r ^ t_bits) << m
+            return table.get(key) or miss(table, key, part)
 
+        return tabled
 
-def theory_closures(t: Theory):
-    """The theory compiled once, as five items:
-
-    * the closure (pp_mask, cp_mask) -> (true_mask, false_mask) of its
-      three-valued value;
-    * its guess slots, the dict from each distinct x under a K outside
-      any other K to the closure of K x, slot i being the i-th key;
-    * the list whose item i is the models of slot i's x when x is
-      objective, and None when x holds a K;
-    * the models of its objective (K-free) members;
-    * the (reads, closure) pair of each other member, in theory order:
-      reads has bit i set iff the member holds slot i's K outside any
-      other K, and the closure is the member's own, so
-      ``closure(None, guess)`` is its reduct's value.
-
-    Recording the reads and the slot models costs no compile and no
-    hash.  Nothing caches these: the caller keeps them while it
-    evaluates the theory and they are freed with the caller, as
-    ``OperatorContext`` does for a solve."""
-    slots: dict = {}
-    slot_models: list = []
-    read = [0]
-    run, objective, formula_reads = _conjunction(
-        t, _three_valued_knows(t.vocabulary, slots, slot_models, read), read)
-    return run, slots, slot_models, objective, formula_reads
+    formula_reads = [(r, member(r, table, part)) for r, table, part in zip(reads, tables, parts)]
+    return (run, slots, slot_models, true0, slot_atoms, objective_atoms + member_atoms,
+            formula_reads)
 
 
 def compiled_theory(t: Theory):
@@ -291,7 +389,7 @@ def formula_status_masks(f: Formula, pp_mask: int, cp_mask: int,
     monotone in the information order, which the convergence of the
     alternating iteration depends on.
     """
-    part = _compile(f, vocabulary, _three_valued_knows(vocabulary, {}, [], [0]))
+    part = _compile(f, vocabulary, _three_valued_knows(vocabulary))
     return part(pp_mask, cp_mask) if callable(part) else part
 
 
@@ -445,7 +543,7 @@ def eval_sv(pb: PartialBeliefState, w: World, t: Theory,
             cap: int = DEFAULT_COMPLETION_CAP) -> TruthValue3:
     _require_same_vocabulary(pb.vocabulary, w.vocabulary)
     _require_same_vocabulary(pb.vocabulary, t.vocabulary)
-    run, _, slot_models, _, _ = theory_closures(t)
+    run, _, slot_models, *_ = theory_closures(t)
     return _value_at(sv_theory_masks(run, slot_models, t.vocabulary,
                                      pb.pp.mask, pb.cp.mask, cap), w.index)
 

@@ -532,7 +532,25 @@ def test_check_detects_an_injected_search_bound_bug(corpus, monkeypatch):
     buf = io.StringIO()
     assert run_check(corpus / "truthsayer.ael", out=buf) == 4
     out = buf.getvalue()
-    assert "expansions: fast 1 = brute 2" in out and "DISAGREEMENT" in out
+    assert "expansions: fast 1 != brute 2" in out and "DISAGREEMENT" in out
+
+
+def test_check_marks_exactly_the_lines_whose_lists_differ(tmp_path):
+    # Under sv the translation of this default theory has one stable
+    # extension and Reiter none, so only the aligned line reads "!=";
+    # under kleene both lists are empty.
+    path = tmp_path / "sv.dt"
+    path.write_text("vocab: a c b\n"
+                    " : ~(b), (b) | (b) / (c) <-> (b)\n"
+                    "b : (c) <-> (c) / (c) & (b)\n"
+                    " :  / c\n", encoding="utf-8")
+    buf = io.StringIO()
+    assert run_check(path, truth=TruthFunctionKind.SUPERVALUATION, out=buf) == 4
+    assert buf.getvalue().splitlines()[1:4] == [
+        "aligned: 0 != 1 extensions", "expansions: fast 1 = brute 1", "stable: fast 1 = brute 1"]
+    buf = io.StringIO()
+    assert run_check(path, out=buf) == 0
+    assert buf.getvalue().splitlines()[1] == "aligned: 0 = 0 extensions"
 
 
 def test_run_solve_accepts_stream(corpus):

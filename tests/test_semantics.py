@@ -3,11 +3,12 @@ from collections import Counter
 
 import pytest
 
+from nmr import semantics as semantics_module
 from nmr import truth as truth_module
-from nmr.defaults import konolige, parse_default_theory
+from nmr.defaults import dl_semantics, konolige, parse_default_theory
 from nmr.oracle import brute_expansions, brute_stable
 from nmr.errors import ResourceCapError
-from nmr.operators import OperatorContext, kk_lfp, klfp_moore
+from nmr.operators import OperatorContext, kk_lfp, klfp_moore, stable_revision
 from nmr.semantics import (
     STEP_KK,
     STEP_MI,
@@ -20,9 +21,16 @@ from nmr.semantics import (
     validate_trace,
     well_founded_extension,
 )
-from nmr.syntax import modal_polarities, parse_theory
+from nmr.syntax import (
+    Theory,
+    collect_modal_subformulas,
+    modal_polarities,
+    objective,
+    parse_formula,
+    parse_theory,
+)
 from nmr.truth import TruthFunctionKind
-from nmr.worlds import Vocabulary, bottom_p, leq_p, set_bits
+from nmr.worlds import BeliefState, Vocabulary, bottom_p, leq_p, set_bits
 
 from helpers import (
     bstate,
@@ -170,6 +178,115 @@ def test_candidates_are_exactly_the_brute_force_expansions():
             assert stable_extensions(ctx).belief_states() == brute_stable(ctx), (t, truth)
             cases += 1
     assert cases == 3000
+
+
+def _named(states):
+    """Belief states as a set of sets of named worlds, whatever the
+    vocabulary order."""
+    return {frozenset(frozenset(w.true_atoms()) for w in b.worlds()) for b in states}
+
+
+def _split_theory(rng):
+    """A theory over 5-8 atoms built from 2-3 atom-disjoint parts: each a
+    random modal theory, a translated default theory or a literal, with
+    now and then a member whose K reads no atom or one that the
+    Kripke-Kleene state makes false on some worlds while its K stays
+    open; at most 12 K arguments."""
+    atoms = [f"x{i}" for i in range(rng.randint(5, 8))]
+    rng.shuffle(atoms)
+    cuts = sorted(rng.sample(range(1, len(atoms)), rng.randint(1, 2)))
+    formulas = []
+    for part in (atoms[a:b] for a, b in zip([0, *cuts], [*cuts, len(atoms)])):
+        kind = rng.random()
+        if kind < 0.4:
+            formulas += rand_theory(rng, part, max_formulas=3, depth=3).formulas
+        elif kind < 0.8:
+            formulas += konolige(rand_default_theory(rng, part)).formulas
+        else:
+            formulas.append(parse_formula(rng.choice(("", "~")) + rng.choice(part)))
+        if rng.random() < 0.4:
+            formulas.append(parse_formula(rng.choice(
+                ("K false -> {0}", "~K true | {0}", "K false", "~K false", "~K ~{0} & {1}")
+            ).format(*rng.choices(part, k=2))))
+    t = Theory(Vocabulary(tuple(atoms)), tuple(formulas))
+    # at most 2^12 guesses for the reference
+    return t if len(collect_modal_subformulas(t)) <= 12 else _split_theory(rng)
+
+
+def _by_every_guess(ctx):
+    """The expansions by their definition over the guesses: the reduct
+    models m of each guess g such that every slot's K x reads its bit of g
+    at (m, m); no Kripke-Kleene bound, no prune and no group."""
+    knows = list(ctx.knows_masks.values())
+    found = set()
+    for guess in range(1 << len(knows)):
+        m = ctx.kleene_masks(None, guess)[0]
+        if all(bool(k(m, m)[0]) == bool(guess >> i & 1) for i, k in enumerate(knows)):
+            found.add(m)
+    return sorted(found)
+
+
+def test_atom_disjoint_parts_give_the_same_results_in_any_order():
+    # The guess search splits into one group per part: permuting the
+    # vocabulary (world numbering) and the members (slot numbering) must
+    # not change the expansions or stable extensions, and both must match
+    # a search over every guess.
+    rng = random.Random(4099)
+    groups = Counter()
+    real_groups = semantics_module._groups
+
+    def counting(*args):
+        found = real_groups(*args)
+        groups[len(found)] += 1
+        return found
+
+    nested = 0
+    for _ in range(500):
+        t = _split_theory(rng)
+        vocab = list(t.vocabulary.atoms)
+        rng.shuffle(vocab)
+        permuted = Theory(Vocabulary(tuple(vocab)), tuple(rng.sample(t.formulas, len(t.formulas))))
+        # a K inside a K makes sv case-split over every completion, past its cap
+        flat = all(objective(x) for x in collect_modal_subformulas(t))
+        nested += not flat
+        for truth in (KLEENE, SV) if flat else (KLEENE,):
+            semantics_module._groups = counting
+            try:
+                ctx, other = OperatorContext(t, truth), OperatorContext(permuted, truth)
+                exps = [r.pp for r in expansions(ctx).results]
+                stable = stable_extensions(ctx).belief_states()
+                assert _named(exps) == _named(r.pp for r in expansions(other).results), t
+                assert _named(stable) == _named(stable_extensions(other).belief_states()), t
+            finally:
+                semantics_module._groups = real_groups
+            reference = _by_every_guess(ctx)
+            assert [b.mask for b in exps] == reference, t
+            assert [b.mask for b in stable] == [
+                m for m in reference if stable_revision(ctx, BeliefState(t.vocabulary, m)).mask == m], t
+    assert groups[2] > 200 and groups[3] > 100 and nested > 30, (groups, nested)
+
+
+def test_shared_fact_nixon_eight_is_searched_one_diamond_at_a_time(monkeypatch):
+    # Eight Nixon diamonds over one r and one q: the guesses of each
+    # diamond are searched on their own, so 256 extensions come from 8
+    # searches of 2 leaves each and a product, not from a tree of 3^8 leaves.
+    leaves = []
+    real_leaves = semantics_module._guess_leaves
+
+    def counting(*args):
+        found = real_leaves(*args)
+        leaves.append(len(found))
+        return found
+
+    monkeypatch.setattr(semantics_module, "_guess_leaves", counting)
+    k = 8
+    lines = ["vocab: r q " + " ".join(f"h{i} d{i}" for i in range(k)), "r & q"]
+    for i in range(k):
+        lines += [f"~(h{i} & d{i})", f"r : h{i} / h{i}", f"q : d{i} / d{i}"]
+    found = dl_semantics(parse_default_theory("\n".join(lines) + "\n"), "reiter").belief_states()
+    assert leaves == [2] * k
+    assert len(found) == 256 and all(len(b) == 1 for b in found)
+    assert len({b.mask for b in found}) == 256
 
 
 def test_sv_stable_revises_no_candidate_that_is_not_an_expansion():

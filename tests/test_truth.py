@@ -1,13 +1,15 @@
 import gc
 import random
 import weakref
+from collections import Counter
 
 import pytest
 
+from nmr import truth as truth_module
 from nmr.defaults import konolige, parse_default_theory
 from nmr.errors import ResourceCapError, VocabularyMismatchError
 from nmr.operators import OperatorContext
-from nmr.semantics import expansions, stable_extensions
+from nmr.semantics import expansion_candidates, expansions, stable_extensions
 from nmr.syntax import (
     BOTTOM,
     TOP,
@@ -26,6 +28,7 @@ from nmr.syntax import (
     parse_theory,
 )
 from nmr.truth import (
+    TABLE_BIT_BUDGET,
     TruthFunctionKind,
     TruthValue3,
     compiled_theory,
@@ -408,3 +411,127 @@ def test_sv_by_achievable_guesses_matches_every_completion_on_the_corpus(corpus)
     for t in four_atoms:
         ctx = OperatorContext(t, TruthFunctionKind.SUPERVALUATION)
         _sv_agrees_with_the_completions(ctx, rng, 12, 10)
+
+
+def _induced_valuation(slots, pp, cp, vocab):
+    """The (true slots, false slots) masks of the K x of each slot at (pp, cp)."""
+    t_bits = f_bits = 0
+    for i, x in enumerate(slots):
+        tm, fm = _reference_masks(Knows(x), pp, cp, vocab)
+        t_bits |= bool(tm) << i
+        f_bits |= bool(fm) << i
+    return t_bits, f_bits
+
+
+class _MemberCalls:
+    """Counts the calls (None, key) of the compiled closure of each
+    formula in ``members``.  ``truth.theory_closures`` makes such a call
+    to a member only on a miss of its table."""
+
+    def __init__(self, monkeypatch):
+        self.members, self.count = (), 0
+        real = truth_module._compile
+
+        def counted(part):
+            def ev(x, y):
+                self.count += x is None
+                return part(x, y)
+            return ev
+
+        def spying(f, vocabulary, knows):
+            part = real(f, vocabulary, knows)
+            if callable(part) and any(f is m for m in self.members):
+                return counted(part)
+            return part
+
+        monkeypatch.setattr(truth_module, "_compile", spying)
+
+
+@pytest.fixture
+def member_calls(monkeypatch):
+    return _MemberCalls(monkeypatch)
+
+
+def test_member_tables_are_shared_by_guesses_and_belief_pairs(member_calls):
+    # On one context, guess calls and calls on total, consistent and
+    # inconsistent pairs run interleaved.  Each value matches its
+    # reference, and a valuation met before, through either kind of
+    # call, evaluates no member: both kinds key the tables alike.
+    rng = random.Random(2029)
+    vocab = VPQ
+    pairs = [(pp, cp) for pp in range(vocab.full_mask + 1) for cp in range(vocab.full_mask + 1)]
+    kinds = Counter()
+    for _ in range(60):
+        t = rand_theory(rng, ["P", "Q"], max_formulas=4, depth=4)
+        member_calls.members = t.formulas
+        ctx = OperatorContext(t)
+        slots = list(ctx.knows_masks)
+        every = (1 << len(slots)) - 1
+        by_valuation = {}
+        for pp, cp in pairs:
+            by_valuation.setdefault(_induced_valuation(slots, pp, cp, vocab), []).append((pp, cp))
+        calls = []
+        for (t_bits, f_bits), found in by_valuation.items():
+            for kind in ("total", "consistent", "inconsistent"):
+                picks = [(pp, cp) for pp, cp in found
+                         if kind == ("total" if pp == cp else
+                                     "consistent" if cp & ~pp == 0 else "inconsistent")]
+                if picks:
+                    calls.append(((t_bits, f_bits), rng.choice(picks)))
+                    kinds[kind] += 1
+            if t_bits | f_bits == every and not t_bits & f_bits:
+                calls.append(((t_bits, f_bits), (None, t_bits)))
+                kinds["guess"] += 1
+        rng.shuffle(calls)
+        seen = set()
+        for valuation, (pp, cp) in calls:
+            evaluated = member_calls.count
+            got = ctx.kleene_masks(pp, cp)
+            if pp is None:
+                expect_t = vocab.full_mask
+                for f in t.formulas:
+                    expect_t &= _reference_masks(_reduct(f, slots, cp), 0, 0, vocab)[0]
+                assert got == (expect_t, vocab.full_mask & ~expect_t)
+                for (_, closure), f in zip(ctx.formula_reads, [f for f in t.formulas
+                                                                 if not objective(f)]):
+                    assert closure(None, cp)[0] == _reference_masks(
+                        _reduct(f, slots, cp), 0, 0, vocab)[0]
+            else:
+                expect_t, expect_f = vocab.full_mask, 0
+                for f in t.formulas:
+                    tm, fm = _reference_masks(f, pp, cp, vocab)
+                    expect_t &= tm
+                    expect_f |= fm
+                assert got == (expect_t, expect_f)
+            if valuation in seen:
+                assert member_calls.count == evaluated
+            seen.add(valuation)
+    assert min(kinds.values()) > 100, kinds
+
+
+def test_a_search_over_sixteen_atoms_keeps_its_tables_within_the_bit_budget(member_calls):
+    # One member reads nine slots that the Kripke-Kleene state leaves
+    # open, so the search evaluates it under 2^9 - 1 valuations; at 2^16
+    # worlds the budget keeps 256 of them, and a miss past it is
+    # evaluated again on every call.
+    zs = [f"z{i}" for i in range(9)]
+    t = parse_theory("vocab: " + " ".join(zs + [f"y{i}" for i in range(7)]) + "\n"
+                     + " | ".join(f"K {z}" for z in zs) + "\n")
+    kept = TABLE_BIT_BUDGET // (2 * t.vocabulary.world_count)
+    assert kept == 256
+    member_calls.members = t.formulas
+
+    def misses_over_every_guess(ctx):
+        before = member_calls.count
+        for guess in range(1 << 9):
+            assert ctx.kleene_masks(None, guess) == (
+                (t.vocabulary.full_mask, 0) if guess else (0, t.vocabulary.full_mask))
+        return member_calls.count - before
+
+    ctx = OperatorContext(t)
+    assert expansion_candidates(ctx) == []
+    assert member_calls.count >= (1 << 9) - 1
+    after_search = misses_over_every_guess(ctx)
+    assert misses_over_every_guess(ctx) == after_search >= (1 << 9) - kept
+    fresh = OperatorContext(t)
+    assert [misses_over_every_guess(fresh) for _ in range(3)] == [1 << 9, kept, kept]
