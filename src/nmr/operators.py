@@ -57,9 +57,9 @@ class OperatorContext:
     #: key (``truth.theory_closures``).
     knows_masks: dict[Formula, Callable[[int, int], tuple[int, int]]] = field(
         init=False, repr=False, compare=False)
-    #: Item i is the models of slot i's x when x is objective, else None;
-    #: the supervaluation searches the guesses over these.
-    slot_models: list[int | None] = field(init=False, repr=False, compare=False)
+    #: The x of each guess bit of the supervaluation: slot i's as item i,
+    #: then that of each K nested in a slot's x (``truth.theory_closures``).
+    slot_models: list[int | Callable] = field(init=False, repr=False, compare=False)
     #: The models of the theory's objective members, which
     #: ``kleene_masks`` folds into its starting masks.
     objective_mask: int = field(init=False, repr=False, compare=False)

@@ -23,8 +23,9 @@ the classical evaluations in every total completion b with
 cp <= b <= pp agree.  It is at least as precise as the three-valued
 evaluation and strictly more precise on case-split tautologies.  A
 completion matters only through the guess it induces on the guess slots
-below, so ``sv_theory_masks`` evaluates one reduct per guess some
-completion induces, not the theory once per completion.
+below and the K nested in them, so ``sv_theory_masks`` evaluates one
+reduct per guess some completion induces, not the theory once per
+completion.
 
 The same closures give the K-guess reducts behind the expansion
 candidates and the supervaluation.  Each distinct x under a K that lies
@@ -74,7 +75,7 @@ from .worlds import (
     _require_same_vocabulary,
 )
 
-#: Largest number of unknown worlds the supervaluation will case-split on.
+#: The supervaluation is refused past this many unknown worlds and guess bits.
 DEFAULT_COMPLETION_CAP = 20
 
 #: Most bits of masks the member tables of one compiled theory keep
@@ -210,8 +211,10 @@ def theory_closures(t: Theory):
     * its guess slots, the dict from each distinct x under a K outside
       any other K to the closure (pp, cp) -> (t, f) of K x, slot i being
       the i-th key;
-    * the list whose item i is the models of slot i's x when x is
-      objective, and None when x holds a K;
+    * the x of each supervaluation guess bit (``sv_theory_masks``):
+      slot i's as item i, then that of each K nested in a slot's x, in
+      reverse compile order; each is x's models when x is objective,
+      else x's closure, in which at (None, guess) item j's K reads bit j;
     * the models of its objective (K-free) members;
     * the list whose item i is the atoms of slot i's x, as a mask of
       vocabulary indices, nested K included;
@@ -238,18 +241,19 @@ def theory_closures(t: Theory):
     one bit per world; a miss past that is evaluated and not kept.
 
     Each distinct x under a K outside any other K is compiled once, with
-    ``_k_value`` for the K nested in it.  A K nested deeper is compiled
-    with its enclosing argument and not looked up: hashing a formula
-    walks all of it, so a lookup at every nesting level would cost time
-    quadratic in the depth.  Recording the reads, the slot models and
-    the atoms costs no compile and no hash.  Nothing global caches
-    these: the caller keeps them while it evaluates the theory and they
-    are freed with the caller, as ``OperatorContext`` does for a
-    solve."""
+    ``_k_value`` at (pp, cp) for each K nested in it.  A nested K is
+    compiled with its enclosing argument and not looked up, so one that
+    occurs twice has two guess bits: hashing a formula walks all of it,
+    so a lookup at every nesting level would cost time quadratic in the
+    depth.  Recording the reads, the arguments and the atoms costs no
+    compile and no hash.  Nothing global caches these: the caller keeps
+    them while it evaluates the theory and they are freed with the
+    caller, as ``OperatorContext`` does for a solve."""
     vocabulary = t.vocabulary
     full = vocabulary.full_mask
     slots: dict = {}
     slot_parts: list = []  # x of each slot, compiled
+    nested_parts: list = []  # x of each K nested in a slot's x, compiled
     slot_atoms: list = []
     bits = {}  # the slot bit of each recorded closure, found without hashing x
     cell = [0, 0]  # the slots a member reads, and the atoms met (``_compile``)
@@ -277,10 +281,24 @@ def theory_closures(t: Theory):
 
         return ev_knows
 
+    def nested_value(part, k: int):
+        """The k-th nested K, guess bit last - k: ``_k_value``, and at
+        (None, guess) that bit."""
+        ev = _k_value(full, part)
+
+        def ev_nested(pp, cp):
+            if pp is None:
+                return (full, 0) if cp >> last - k & 1 else (0, full)
+            return ev(pp, cp)
+
+        return ev_nested
+
     def knows(sub: Formula):
         nonlocal nested
         if nested:
-            return _k_value(full, _compile(sub, vocabulary, knows))
+            part = _compile(sub, vocabulary, knows)
+            nested_parts.append(part)
+            return nested_value(part, len(nested_parts) - 1)
         ev_slot = slots.get(sub)
         if ev_slot is None:
             nested, outer, cell[1] = True, cell[1], 0
@@ -311,7 +329,8 @@ def theory_closures(t: Theory):
             objective_atoms.append(cell[1])
     m = len(slots)
     every = (1 << m) - 1
-    slot_models = [None if callable(part) else part[0] for part in slot_parts]
+    last = m + len(nested_parts) - 1
+    slot_models = [p if callable(p) else p[0] for p in slot_parts + nested_parts[::-1]]
     # each slot's two key bits, with x's false mask or the closure of K x
     objective_slots = [(1 << i, 1 << m + i, part[1]) for i, part in enumerate(slot_parts)
                        if not callable(part)]
@@ -393,70 +412,42 @@ def formula_status_masks(f: Formula, pp_mask: int, cp_mask: int,
     return part(pp_mask, cp_mask) if callable(part) else part
 
 
-def _completion_models(run, pp_mask: int, cp_mask: int):
-    """The classical models of the theory at each completion b, the
-    empty extension of cp first."""
-    unknown = pp_mask & ~cp_mask
-    part = 0
-    while True:  # every subset part of the unknown worlds
-        yield run(cp_mask | part, cp_mask | part)[0]
-        part = (part - unknown) & unknown
-        if not part:
-            return
-
-
-def _achievable_reduct_models(run, slot_models: list, pp_mask: int, cp_mask: int):
-    """The models of the g-reduct for each guess g some completion
-    induces, found depth first over the slots in order.  A node holds
-    its guessed prefix, U (pp cut by the models of each slot guessed
-    true) and the models of each slot guessed false."""
-    stack = [(0, 0, pp_mask, ())]
-    while stack:
-        d, guess, u, zeros = stack.pop()
-        if d == len(slot_models):
-            yield run(None, guess)[0]
-            continue
-        models_d = slot_models[d]
-        if u & ~models_d:  # else U <= M_d and slot d cannot read false
-            stack.append((d + 1, guess, u, (*zeros, models_d)))
-        one = u & models_d
-        if not cp_mask & ~one and all(one & ~m for m in zeros):
-            stack.append((d + 1, guess | 1 << d, one, zeros))
-
-
 def sv_theory_masks(run, slot_models: list, vocabulary: Vocabulary, pp_mask: int,
                     cp_mask: int, cap: int = DEFAULT_COMPLETION_CAP) -> tuple[int, int]:
     """Supervaluation value per world: the verdicts on which the
     classical evaluations at every completion cp <= b <= pp agree.
 
-    ``run`` is the theory's compiled three-valued closure and
-    ``slot_models`` its slots' objective models (``theory_closures``).
+    ``run`` is the theory's compiled three-valued closure and item i of
+    ``slot_models`` the argument x_i of guess bit i (``theory_closures``):
+    slot i for i < m, a K nested in a slot's x above.  M_i(g), the
+    models of x_i with each K in it taking its bit of g, is x_i's models
+    or the true mask of x_i's closure at (None, g), and reads only the
+    bits above i.
 
-    When every slot's x is objective, with models M_i, a completion b
-    matters only through its guess g_b, bit i set iff b <= M_i: each
-    slot's K x is world-independent, so at (b, b) the theory takes the
-    value of its g_b-reduct, whose models ``run(None, g_b)[0]`` gives.
-    The true mask is then the AND of the reducts' models over the
-    achievable guesses G = {g_b : cp <= b <= pp}, and the false mask the
-    AND of their complements.  A guess g is achievable iff
-    U = pp & AND{M_i : g_i = 1} contains cp and U is no subset of M_j
-    for any g_j = 0.  If g = g_b, then cp <= b <= U, and U <= M_j would
-    give b <= M_j.  Conversely b = U lies in [cp, pp], inside every M_i
-    of a true bit and inside no M_j of a false one, so g_U = g.
+    Each K x_i is world-independent, so a completion b matters only
+    through its guess g_b, bit i set iff b <= M_i(g_b) (each K in x_i
+    takes its bit of g_b at (b, b), by induction from the last bit
+    down), and at (b, b) the theory takes the value of its g_b-reduct,
+    whose models ``run(None, g_b)[0]`` gives.  The true mask is then the
+    AND of the reducts' models over the achievable guesses
+    G = {g_b : cp <= b <= pp}, and the false mask the AND of their
+    complements.  A guess g is achievable iff U = pp & AND{M_i(g) :
+    g_i = 1} contains cp and U is no subset of M_j(g) for any g_j = 0.
+    If g = g_b, then cp <= b <= U, and U <= M_j(g) would give
+    b <= M_j(g).  Conversely b = U lies in [cp, pp], and g_U = g by
+    induction from the last bit down: where g_U agrees with g above i,
+    x_i has the models M_i(g) at (U, U), which contain U iff g_i = 1.
 
-    The search guesses the slots in order on an explicit stack and drops
-    a node when cp leaves U or a slot guessed false already has
-    U <= M_j.  Both are final, as U only shrinks below a node, and every
-    other node reaches a leaf: guess each later slot true iff U <= M_k,
-    which leaves U as it is.  A node at depth d has the prefix of g_U,
-    so nodes at one depth have distinct U in [cp, pp]: there are at most
-    min(2^d, 2^u) of them for u unknown worlds, and at most
-    min(2^m, 2^u) leaves for m slots.  The search is refused only when
-    both u and m exceed ``cap``.
-
-    A theory with a K inside a slot's x (its ``slot_models`` entry is
-    None) is the one case still evaluated once per completion: 2^u
-    classical passes, refused when u exceeds ``cap``.
+    The search guesses the bits from the last down on an explicit stack.
+    A node holds its guessed bits, U and the M_j(g) of the bits guessed
+    false, and is dropped when cp leaves U or U <= M_j(g) for one of
+    them.  Both are final, as U only shrinks below a node, and every
+    other node reaches a leaf: guess each lower bit true iff
+    U <= M_k(g), which leaves U as it is.  A node has the bits of g_U
+    above its depth, so the nodes at one depth have distinct U in
+    [cp, pp]: there are at most min(2^d, 2^u) of them after d guessed
+    bits, for u unknown worlds, and at most min(2^n, 2^u) leaves for n
+    bits.  The search is refused only when both u and n exceed ``cap``.
 
     A raw inconsistent mask pair (oracle only) has no completions, and
     the empty case analysis makes every verdict vacuously unanimous:
@@ -466,22 +457,28 @@ def sv_theory_masks(run, slot_models: list, vocabulary: Vocabulary, pp_mask: int
     full = vocabulary.full_mask
     if cp_mask & ~pp_mask:
         return full, full
-    u = (pp_mask & ~cp_mask).bit_count()
-    by_completion = None in slot_models
-    if u > cap and (by_completion or len(slot_models) > cap):
-        raise ResourceCapError(
-            f"supervaluation over {u} unknown worlds exceeds the completion cap {cap}"
-        )
-    if by_completion:
-        cases = _completion_models(run, pp_mask, cp_mask)
-    else:
-        cases = _achievable_reduct_models(run, slot_models, pp_mask, cp_mask)
+    unknown = (pp_mask & ~cp_mask).bit_count()
+    if unknown > cap and len(slot_models) > cap:
+        raise ResourceCapError(f"supervaluation over {unknown} unknown worlds and "
+                               f"{len(slot_models)} guess bits exceeds the cap {cap}")
     true_acc = false_acc = full
-    for sat in cases:
-        true_acc &= sat
-        false_acc &= full & ~sat
-        if not true_acc and not false_acc:
-            break
+    stack = [(len(slot_models), 0, pp_mask, ())]
+    while stack and (true_acc or false_acc):
+        d, guess, u, zeros = stack.pop()
+        if not d:
+            sat = run(None, guess)[0]
+            true_acc &= sat
+            false_acc &= full & ~sat
+            continue
+        d -= 1
+        models_d = slot_models[d]
+        if callable(models_d):  # M_d(g): the bits above d are guessed
+            models_d = models_d(None, guess)[0]
+        if u & ~models_d:  # else U <= M_d and bit d cannot read false
+            stack.append((d, guess, u, (*zeros, models_d)))
+        one = u & models_d
+        if not cp_mask & ~one and all(one & ~m for m in zeros):
+            stack.append((d, guess | 1 << d, one, zeros))
     return true_acc, false_acc
 
 

@@ -373,6 +373,23 @@ def test_exit_code_resource_cap(corpus, capsys):
     assert "resource cap" in capsys.readouterr().err
 
 
+def test_sv_with_a_nested_k_past_the_cap_of_unknown_worlds_answers(tmp_path, capsys):
+    # The Kripke-Kleene search starts at 32 unknown worlds, past the cap
+    # 20, but the theory has two guess bits: the slot K (K a -> b) and the
+    # K a nested in it.  The answer is the models of c, as under kleene.
+    path = tmp_path / "nested.ael"
+    path.write_text("vocab: a b c d e\nK (K a -> b) -> c\n", encoding="utf-8")
+    models_of_c = "{" + ", ".join(
+        "{" + ",".join(name for i, name in enumerate("abcde") if w >> i & 1) + "}"
+        for w in range(32) if w >> 2 & 1) + "}"
+    expect = {"kk": f"kk: TOTAL {models_of_c}\n", "wf": f"wf: TOTAL {models_of_c}\n",
+              "stable": f"stable: 1 result\n  [1] {models_of_c}\n"}
+    for semantics, result in expect.items():
+        for truth in ("kleene", "sv"):
+            assert solve("--semantics", semantics, "--truth", truth, "--input", str(path)) == 0
+            assert capsys.readouterr().out == "vocabulary: a b c d e\n" + result
+
+
 @pytest.mark.parametrize("argv,flag,value", [
     (["solve", "--semantics", "kk", "--max-atoms", "-1"], "--max-atoms", -1),
     (["check", "--budget", "-3"], "--budget", -3),

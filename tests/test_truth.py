@@ -20,6 +20,7 @@ from nmr.syntax import (
     Knows,
     Not,
     Or,
+    Theory,
     Top,
     children,
     collect_modal_subformulas,
@@ -159,9 +160,18 @@ def test_eval_sv_completion_cap():
     t = parse_theory("vocab: P Q\nP\n")
     assert eval_sv(bottom_p(VPQ), world(VPQ, ()), t, cap=3) is F
     assert eval_sv(bottom_p(VPQ), world(VPQ, ("P",)), t, cap=3) is T
+    # Two guess bits, the slot K P and the K nested in it, answer too.  At
+    # every completion the theory holds on the Q worlds, and at b = pp,
+    # which has a world without P, on every world: Q worlds are T, others U.
+    nested = parse_theory("vocab: P Q\nK K P -> Q\n")
+    expect = _sv_by_completions(OperatorContext(nested), VPQ.full_mask, 0)
+    assert expect == (models_mask(parse_formula("Q"), VPQ), 0)
+    for w in BeliefState.full(VPQ).worlds():
+        assert eval_sv(bottom_p(VPQ), w, nested, cap=3) is (T if expect[0] >> w.index & 1 else U)
+    # Four slots, or one slot with four K nested in it, are more bits than the cap.
     four_slots = parse_theory("vocab: P Q\nK P | K Q | K ~P | K ~Q\n")
-    nested = parse_theory("vocab: P Q\nK K P -> Q\n")  # still one pass per completion
-    for theory in (four_slots, nested):
+    four_nested = parse_theory("vocab: P Q\nK (K P | K Q | K ~P | K ~Q)\n")
+    for theory in (four_slots, four_nested):
         with pytest.raises(ResourceCapError):
             eval_sv(bottom_p(VPQ), world(VPQ, ()), theory, cap=3)
 
@@ -373,10 +383,20 @@ def _sv_by_completions(ctx, pp, cp):
     return true_acc, false_acc
 
 
+def _inner_k_args(f):
+    """The argument of each K inside f, in compile order: a K's own
+    argument's K first."""
+    if isinstance(f, Knows):
+        return [*_inner_k_args(f.sub), f.sub]
+    return [x for c in children(f) for x in _inner_k_args(c)]
+
+
 def _sv_agrees_with_the_completions(ctx, rng, pairs, max_unknown):
     full = ctx.vocabulary.full_mask
-    assert ctx.slot_models == [
-        models_mask(x, ctx.vocabulary) if objective(x) else None for x in ctx.knows_masks]
+    slots = list(ctx.knows_masks)
+    nested = [y for x in slots for y in _inner_k_args(x)]
+    assert [None if callable(x) else x for x in ctx.slot_models] == [
+        models_mask(x, ctx.vocabulary) if objective(x) else None for x in slots + nested[::-1]]
     checked = 0
     while checked < pairs:
         pp = rng.randrange(full + 1)
@@ -388,7 +408,7 @@ def _sv_agrees_with_the_completions(ctx, rng, pairs, max_unknown):
     bad = 1 << rng.randrange(ctx.vocabulary.world_count)  # in cp, not in pp
     pp = rng.randrange(full + 1) & ~bad
     assert ctx.status_masks(pp, pp & rng.randrange(full + 1) | bad) == (full, full)
-    return None in ctx.slot_models
+    return bool(nested)
 
 
 def test_sv_by_achievable_guesses_matches_every_completion():
@@ -411,6 +431,48 @@ def test_sv_by_achievable_guesses_matches_every_completion_on_the_corpus(corpus)
     for t in four_atoms:
         ctx = OperatorContext(t, TruthFunctionKind.SUPERVALUATION)
         _sv_agrees_with_the_completions(ctx, rng, 12, 10)
+
+
+def _nested_k(rng, atoms, depth):
+    """A formula with K nested ``depth`` deep, some of them negated and
+    some joined to an objective side formula."""
+    f = rand_formula(rng, atoms, 2, allow_k=False)
+    for _ in range(depth):
+        f = Knows(f)
+        if rng.random() < 0.4:
+            f = Not(f)
+        if rng.random() < 0.5:
+            side = rand_formula(rng, atoms, 1, allow_k=False)
+            connective = rng.choice((And, Or, Implies))
+            f = connective(f, side) if rng.random() < 0.5 else connective(side, f)
+    return f
+
+
+def test_sv_on_nested_k_matches_every_completion():
+    # Each theory has a K nesting 3-5 deep, under two outer K, twice in one
+    # outer K's argument, or with ~K inside a K; 1-4 atoms.
+    rng = random.Random(2711)
+    sv = TruthFunctionKind.SUPERVALUATION
+    kinds = Counter()
+    for i in range(400):
+        atoms = ["P", "Q", "R", "S"][:1 + i % 4]
+        vocab = Vocabulary(tuple(atoms))
+        inner = _nested_k(rng, atoms, rng.randint(2, 4))
+
+        def lit():
+            return rand_formula(rng, atoms, 1, allow_k=False)
+
+        shapes = {
+            "shared": [Implies(Knows(Or(inner, lit())), lit()),
+                       Or(Not(Knows(And(lit(), Not(inner)))), lit())],
+            "repeated": [Knows(Implies(inner, Or(lit(), inner)))],
+            "negated": [Implies(Knows(Implies(Not(Knows(lit())), inner)), lit())],
+        }
+        picked = rng.sample(sorted(shapes), rng.randint(1, 3))
+        kinds.update(picked)
+        t = Theory(vocab, tuple(f for kind in picked for f in shapes[kind]))
+        assert _sv_agrees_with_the_completions(OperatorContext(t, sv), rng, 6, 8)
+    assert min(kinds.values()) > 150, kinds
 
 
 def _induced_valuation(slots, pp, cp, vocab):
