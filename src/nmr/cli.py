@@ -320,18 +320,15 @@ def run_check(path: Path, truth: TruthFunctionKind = TruthFunctionKind.KLEENE,
             f"  brute: {[str(b) for b in brute_st]}"
         )
 
-    if truth is TruthFunctionKind.KLEENE:
-        process_wf = well_founded_extension(ctx).results[0]
-        algebra_wf = algebraic_wf(ctx, budget)
-        agree = process_wf == algebra_wf
-        print(f"wf: process {'=' if agree else '!='} algebraic", file=out)
-        if not agree:
-            disagreements.append(
-                f"well-founded extensions differ:\n  process:   {process_wf}\n"
-                f"  algebraic: {algebra_wf}"
-            )
-    else:
-        print("wf: algebraic cross-check is three-valued only, skipped", file=out)
+    process_wf = well_founded_extension(ctx).results[0]
+    algebra_wf = algebraic_wf(ctx, budget)
+    agree = process_wf == algebra_wf
+    print(f"wf: process {'=' if agree else '!='} algebraic", file=out)
+    if not agree:
+        disagreements.append(
+            f"well-founded extensions differ:\n  process:   {process_wf}\n"
+            f"  algebraic: {algebra_wf}"
+        )
 
     if disagreements:
         for d in disagreements:

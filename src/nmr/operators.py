@@ -179,26 +179,18 @@ class RevisionLog:
     removals: list[int] = field(default_factory=list)
 
 
-def revise_masks(ctx: OperatorContext, pinned: int, stop: int,
+def revise_masks(ctx: OperatorContext, pinned: int,
                  removals: list[int] | None = None) -> int | None:
     """The stable revision loop on masks.
 
     Starts at the full world set Z = W and repeatedly removes the worlds
     where the theory evaluates to false against (Z, pinned); returns the
     Z where none is left, or None the moment a removal would touch a
-    world of ``stop``.  Falsity is final along the run (the evaluation
-    is precision-monotone and pinned never moves), so removing every
-    refutable world at once is safe.  If ``removals`` is given, every
-    round appends the worlds it removed.
-
-    ``stable_revision`` and ``oracle.brute_stable`` pass the candidate
-    as both ``pinned`` and ``stop``.  ``oracle.algebraic_wf`` passes
-    ``stop = 0``, so the loop never aborts, and raw pinned masks that
-    need not be consistent with Z.  On those pairs the evaluator's
-    independent truth and falsity checks amount to the four-valued
-    reading of the K clauses (truth over the first coordinate, falsity
-    over the pinned second), which coincides with the standard
-    three-valued reading whenever the pair is consistent.
+    world of ``pinned``, after which (Z, pinned) would be inconsistent.
+    Falsity is final along the run (the evaluation is precision-monotone
+    and pinned never moves), so removing every refutable world at once
+    is safe.  If ``removals`` is given, every round appends the worlds
+    it removed.
     """
     z = ctx.vocabulary.full_mask
     while True:
@@ -206,7 +198,7 @@ def revise_masks(ctx: OperatorContext, pinned: int, stop: int,
         removed = z & f_mask
         if not removed:
             return z
-        if removed & stop:
+        if removed & pinned:
             return None
         if removals is not None:
             removals.append(removed)
@@ -216,11 +208,11 @@ def revise_masks(ctx: OperatorContext, pinned: int, stop: int,
 def stable_revision(ctx: OperatorContext, b: BeliefState,
                     log: RevisionLog | None = None) -> BeliefState | NotStableSignal:
     """Delete refutable worlds under b's pinned ignorance until none remain
-    (``revise_masks`` with b pinned and as the stop set).  Returns
-    ``NOT_STABLE`` if the run would remove a world of b itself: the pair
-    would stop being consistent and could no longer land on b."""
+    (``revise_masks`` with b pinned).  Returns ``NOT_STABLE`` if the run
+    would remove a world of b itself: the pair would stop being
+    consistent and could no longer land on b."""
     _require_same_vocabulary(b.vocabulary, ctx.vocabulary)
-    z = revise_masks(ctx, b.mask, b.mask, None if log is None else log.removals)
+    z = revise_masks(ctx, b.mask, None if log is None else log.removals)
     return NOT_STABLE if z is None else BeliefState(b.vocabulary, z)
 
 

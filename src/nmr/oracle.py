@@ -4,9 +4,9 @@ These deliberately avoid the clever candidate generation used by the
 production solvers: expansions and stable extensions are found by
 testing every subset of worlds against the definition on its mask,
 and the well-founded extension is recomputed as the limit of the
-alternating stable-revision pair iteration.  Agreement between the two
-routes is what ``nmr check`` verifies.  Everything here is exponential
-in 2^n and capped.
+stable operator on consistent pairs, under either truth function.
+Agreement between the two routes is what ``nmr check`` verifies.
+Everything here is exponential in 2^n and capped.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 from .errors import InternalInvariantError, ResourceCapError
 from .operators import OperatorContext, revise_masks
-from .truth import TruthFunctionKind
 from .worlds import BeliefState, PartialBeliefState
 
 
@@ -61,37 +60,34 @@ def brute_stable(ctx: OperatorContext, budget: OracleBudget = OracleBudget()) ->
     """Every subset of worlds reproduced by its own stable revision."""
     _check_enumerable(ctx, budget)
     return [BeliefState(ctx.vocabulary, m) for m in range(ctx.vocabulary.full_mask + 1)
-            if revise_masks(ctx, m, m) == m]
+            if revise_masks(ctx, m) == m]
 
 
 def algebraic_wf(ctx: OperatorContext, budget: OracleBudget = OracleBudget()) -> PartialBeliefState:
-    """Limit of (x, y) -> (S(y), S(x)) from the least-precise pair.
+    """Limit of the stable operator from the least-precise pair (W, 0).
 
-    S is the stable revision with its second coordinate pinned to an
-    arbitrary mask and no abort: ``revise_masks`` with ``stop = 0``.
-    The limit of this alternating iteration is the well-founded
-    fixpoint; it must be a consistent pair, and an inconsistent limit
-    is reported as a diagnostic rather than silently clamped.
-
-    Three-valued contexts only.  The alternating construction relies on
-    the revision operator being symmetric in its two coordinates; the
-    supervaluation operator is not (its completion interval is
-    direction-sensitive), and its alternating limit can differ from the
-    process-computed well-founded extension.
+    The stable operator of approximation fixpoint theory (Denecker,
+    Marek & Truszczynski 2000), with ``ctx.status_masks`` as the
+    approximator under either truth function, maps a consistent pair
+    (pp, cp) to (pp', cp'): pp' is the stable revision pinned to cp
+    (``revise_masks``), and cp' the limit of z -> the true mask of
+    (pp', z) from z = pp'.  From (W, 0) the iteration stays consistent
+    and only gains precision, and its limit is the well-founded
+    fixpoint; a pair that would be inconsistent is reported as a
+    diagnostic rather than silently clamped.
     """
-    if ctx.truth is not TruthFunctionKind.KLEENE:
-        raise ValueError("algebraic_wf is defined for the three-valued truth function only")
     _check_budget(ctx, budget)
-    x, y = ctx.vocabulary.full_mask, 0
+    pp, cp = ctx.vocabulary.full_mask, 0
     for _ in range(2 * ctx.vocabulary.world_count + 2):
-        nx, ny = revise_masks(ctx, y, 0), revise_masks(ctx, x, 0)
-        if (nx, ny) == (x, y):
-            break
-        x, y = nx, ny
-    else:
-        raise InternalInvariantError("alternating stable iteration failed to converge")
-    if y & ~x:
-        raise InternalInvariantError(
-            "alternating stable iteration converged on an inconsistent pair"
-        )
-    return PartialBeliefState.of_masks(ctx.vocabulary, x, y)
+        next_pp = revise_masks(ctx, cp)
+        if next_pp is None:
+            raise InternalInvariantError("stable operator reached an inconsistent pair")
+        next_cp = next_pp
+        while (z := ctx.status_masks(next_pp, next_cp)[0]) != next_cp:
+            if z & ~next_cp:
+                raise InternalInvariantError("stable operator's true masks are not decreasing")
+            next_cp = z
+        if (next_pp, next_cp) == (pp, cp):
+            return PartialBeliefState.of_masks(ctx.vocabulary, pp, cp)
+        pp, cp = next_pp, next_cp
+    raise InternalInvariantError("stable operator iteration failed to converge")

@@ -399,14 +399,12 @@ def formula_status_masks(f: Formula, pp_mask: int, cp_mask: int,
     """(true_mask, false_mask) of a formula across all worlds.
 
     The two masks are computed independently: the K truth check reads
-    over pp, the K falsity check over cp.  On the consistent pairs used
-    everywhere outside the oracle the checks are mutually exclusive and
-    this is exactly the strong three-valued evaluation.  On raw mask
-    pairs (cp not contained in pp, reachable only from the oracle's
-    alternating iteration) both checks may fire at once; that is the
-    standard four-valued reading, and the one that keeps the evaluation
-    monotone in the information order, which the convergence of the
-    alternating iteration depends on.
+    over pp, the K falsity check over cp.  On consistent pairs, the only
+    ones any solver or oracle passes, the checks are mutually exclusive
+    and this is exactly the strong three-valued evaluation.  On a raw
+    mask pair (cp not contained in pp) from a direct caller both checks
+    may fire at once; that is the standard four-valued reading, the one
+    that keeps the evaluation monotone in the information order.
     """
     part = _compile(f, vocabulary, _three_valued_knows(vocabulary))
     return part(pp_mask, cp_mask) if callable(part) else part
@@ -449,10 +447,10 @@ def sv_theory_masks(run, slot_models: list, vocabulary: Vocabulary, pp_mask: int
     bits, for u unknown worlds, and at most min(2^n, 2^u) leaves for n
     bits.  The search is refused only when both u and n exceed ``cap``.
 
-    A raw inconsistent mask pair (oracle only) has no completions, and
-    the empty case analysis makes every verdict vacuously unanimous:
-    both masks come back full, the four-valued reading that keeps the
-    function monotone in the information order.
+    A raw inconsistent mask pair, which no solver or oracle passes, has
+    no completions, and the empty case analysis makes every verdict
+    vacuously unanimous: both masks come back full, the four-valued
+    reading that keeps the function monotone in the information order.
     """
     full = vocabulary.full_mask
     if cp_mask & ~pp_mask:

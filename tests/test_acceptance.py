@@ -267,8 +267,10 @@ def test_c11_fast_vs_brute_expansions_and_stable():
 def test_c11_process_wf_equals_algebraic_wf():
     rng = random.Random(1109)
     for _ in range(300):
-        ctx = OperatorContext(rand_theory(rng, ["P", "Q"]))
-        assert well_founded_extension(ctx).results[0] == algebraic_wf(ctx)
+        t = rand_theory(rng, ["P", "Q"])
+        for truth in TruthFunctionKind:
+            ctx = OperatorContext(t, truth)
+            assert well_founded_extension(ctx).results[0] == algebraic_wf(ctx), (t, truth)
 
 
 def test_c11_reiter_equals_stable_of_the_translation():

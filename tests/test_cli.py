@@ -496,11 +496,23 @@ def test_check_reports_alignment_counts(corpus):
     assert "aligned: 2 = 2 extensions" in buf.getvalue()
 
 
-def test_check_sv_skips_algebraic_comparison(corpus):
+def test_check_sv_runs_algebraic_comparison(corpus):
     buf = io.StringIO()
     assert run_check(corpus / "truthsayer.ael", truth=TruthFunctionKind.SUPERVALUATION,
                      out=buf) == 0
-    assert "skipped" in buf.getvalue()
+    assert "wf: process = algebraic\n" in buf.getvalue()
+
+
+def test_check_sv_catches_a_skipped_maximize_ignorance_step(corpus, monkeypatch, capsys):
+    # Mutant: under sv the well-founded process stops at the Kripke-Kleene
+    # state, which on the truth sayer leaves the world without P unknown.
+    real = nmr.semantics.greatest_unfounded_set
+    monkeypatch.setattr(nmr.semantics, "greatest_unfounded_set", lambda ctx, pb: (
+        0 if ctx.truth is TruthFunctionKind.SUPERVALUATION else real(ctx, pb)))
+    path = str(corpus / "truthsayer.ael")
+    assert main(["check", "--input", path]) == 0
+    assert main(["check", "--truth", "sv", "--input", path]) == 4
+    assert "wf: process != algebraic" in capsys.readouterr().out
 
 
 def test_exit_code_internal_invariant_violation(corpus, monkeypatch, capsys):

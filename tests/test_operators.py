@@ -211,21 +211,28 @@ def test_kk_lfp_refuses_an_inconsistent_pair():
             kk_lfp(ctx)
 
 
-def _alternating_revision(ctx, pinned_mask):
-    """The revision of the alternating well-founded iteration, written out
-    on its own: pinned to any mask, never aborting."""
-    z = ctx.vocabulary.full_mask
+def _revision_written_out(ctx, pinned_mask):
+    """The stable revision loop written out on its own, run to its end:
+    its result, and whether some round removed a pinned world."""
+    z, hit = ctx.vocabulary.full_mask, False
     while True:
         _, f_mask = ctx.status_masks(z, pinned_mask)
-        nz = z & ~f_mask
-        if nz == z:
-            return z
-        z = nz
+        removed = z & f_mask
+        if not removed:
+            return z, hit
+        hit |= bool(removed & pinned_mask)
+        z &= ~removed
 
 
-def test_revise_masks_without_a_stop_set_never_aborts():
-    # Every pinned mask, so also the raw ones no longer inside the
-    # revised set once it shrinks.
-    for ctx in _small_theories(13):
-        for pinned in range(ctx.vocabulary.full_mask + 1):
-            assert revise_masks(ctx, pinned, 0) == _alternating_revision(ctx, pinned)
+def test_revise_masks_aborts_exactly_when_a_pinned_world_goes():
+    # Every pinned mask, under both truth functions: None iff the loop
+    # would remove a pinned world, else the loop's result.
+    outcomes = set()
+    for t in (ctx.theory for ctx in _small_theories(13)):
+        for truth in TruthFunctionKind:
+            ctx = OperatorContext(t, truth)
+            for pinned in range(ctx.vocabulary.full_mask + 1):
+                z, hit = _revision_written_out(ctx, pinned)
+                assert revise_masks(ctx, pinned) == (None if hit else z), (t, truth, pinned)
+                outcomes.add(hit)
+    assert outcomes == {False, True}

@@ -1,3 +1,4 @@
+import itertools
 import random
 from pathlib import Path
 
@@ -78,38 +79,53 @@ def test_oracle_budget_is_enforced():
     assert len(brute_expansions(small, OracleBudget(max_atoms=3))) > 0
 
 
-def test_algebraic_wf_is_three_valued_only():
-    with pytest.raises(ValueError):
-        algebraic_wf(ctx_of("K P -> P", TruthFunctionKind.SUPERVALUATION))
+def test_algebraic_wf_under_sv_is_the_process_wf():
+    # Both files have an sv well-founded state other than the kleene one.
+    for name in ("tautology_antecedent.ael", "nested_introspection.ael"):
+        t = parse_theory((CORPUS / name).read_text())
+        sv = OperatorContext(t, TruthFunctionKind.SUPERVALUATION)
+        assert algebraic_wf(sv) == well_founded_extension(sv).results[0], name
+        assert algebraic_wf(sv) != algebraic_wf(OperatorContext(t)), name
 
 
-def _all_fixture_contexts():
+def _all_fixture_theories():
     out = []
     for path in sorted(CORPUS.glob("*.ael")):
-        out.append((path.name, OperatorContext(parse_theory(path.read_text()))))
+        out.append((path.name, parse_theory(path.read_text())))
     for path in sorted(CORPUS.glob("*.dt")):
-        dt = parse_default_theory(path.read_text())
-        out.append((path.name, OperatorContext(konolige(dt))))
+        out.append((path.name, konolige(parse_default_theory(path.read_text()))))
     return out
 
 
 def test_fast_solvers_match_oracles_on_all_fixtures():
-    for name, ctx in _all_fixture_contexts():
+    for (name, t), truth in itertools.product(_all_fixture_theories(), TruthFunctionKind):
+        ctx = OperatorContext(t, truth)
         brute_exp, brute_st = brute_expansions(ctx), brute_stable(ctx)
-        assert [r.pp for r in expansions(ctx).results] == brute_exp, name
-        assert [r.pp for r in stable_extensions(ctx).results] == brute_st, name
-        assert well_founded_extension(ctx).results[0] == algebraic_wf(ctx), name
+        assert [r.pp for r in expansions(ctx).results] == brute_exp, (name, truth)
+        assert [r.pp for r in stable_extensions(ctx).results] == brute_st, (name, truth)
+        assert well_founded_extension(ctx).results[0] == algebraic_wf(ctx), (name, truth)
         for out in (brute_exp, brute_st):
             masks = [b.mask for b in out]
-            assert masks == sorted(masks), name
+            assert masks == sorted(masks), (name, truth)
 
 
 def test_fast_solvers_match_oracles_randomly():
     # The candidate bound is the three-valued Kripke-Kleene state under
-    # either truth function, so both are pinned here.
-    for truth in TruthFunctionKind:
-        rng = random.Random(307)
-        for _ in range(150):
-            ctx = OperatorContext(rand_theory(rng, ["P", "Q", "R"]), truth)
+    # either truth function, so both are pinned here, on the same theories.
+    # Some theories nest K inside an outer K's argument (more supervaluation
+    # guess bits than guess slots), and some have an sv well-founded state
+    # other than the kleene one.
+    rng = random.Random(307)
+    wf_differs = nested = 0
+    for _ in range(150):
+        t = rand_theory(rng, ["P", "Q", "R"])
+        wfs = []
+        for truth in TruthFunctionKind:
+            ctx = OperatorContext(t, truth)
             assert [r.pp for r in expansions(ctx).results] == brute_expansions(ctx)
             assert [r.pp for r in stable_extensions(ctx).results] == brute_stable(ctx)
+            wfs.append(algebraic_wf(ctx))
+            assert well_founded_extension(ctx).results[0] == wfs[-1]
+        wf_differs += wfs[0] != wfs[1]
+        nested += len(ctx.slot_models) > len(ctx.knows_masks)
+    assert wf_differs and nested, (wf_differs, nested)
