@@ -310,7 +310,7 @@ def run_check(path: Path, truth: TruthFunctionKind = TruthFunctionKind.KLEENE,
 
     if fast_stable is None:
         fast_stable = stable_extensions(ctx).belief_states()
-    brute_st = brute_stable(ctx, budget)
+    brute_st = brute_stable(ctx, brute_exp)
     agree = fast_stable == brute_st
     print(f"stable: fast {len(fast_stable)} {'=' if agree else '!='} brute {len(brute_st)}",
           file=out)

@@ -1,10 +1,13 @@
 """Brute-force reference implementations, for tests and ``nmr check``.
 
 These deliberately avoid the clever candidate generation used by the
-production solvers: expansions and stable extensions are found by
-testing every subset of worlds against the definition on its mask,
-and the well-founded extension is recomputed as the limit of the
-stable operator on consistent pairs, under either truth function.
+production solvers: ``brute_expansions`` tests every world set inside
+the models of the theory's objective members against the fixpoint
+definition on its mask, ``brute_stable`` tests each of those
+expansions against its own stable revision, and the well-founded
+extension is recomputed as the limit of the stable operator on
+consistent pairs, under either truth function.  No candidate comes
+from the K-guess search, its Kripke-Kleene bound or ``semantics``.
 Agreement between the two routes is what ``nmr check`` verifies.
 Everything here is exponential in 2^n and capped.
 """
@@ -25,8 +28,8 @@ BRUTE_MAX_ATOMS = 4
 
 @dataclass(frozen=True, slots=True)
 class OracleBudget:
-    """Largest vocabulary the oracles will touch; the 2^(2^n) subset
-    enumerations stop at ``BRUTE_MAX_ATOMS`` even under a larger one."""
+    """Largest vocabulary the oracles will touch; the world-set
+    enumeration stops at ``BRUTE_MAX_ATOMS`` even under a larger one."""
 
     max_atoms: int = 4
 
@@ -50,17 +53,37 @@ def _check_enumerable(ctx: OperatorContext, budget: OracleBudget) -> None:
 
 
 def brute_expansions(ctx: OperatorContext, budget: OracleBudget = OracleBudget()) -> list[BeliefState]:
-    """Every subset of worlds the one-step revision maps to itself."""
+    """Every world set the one-step revision maps to itself, ascending.
+
+    Only the subsets of o = ``ctx.objective_mask`` are tested, each
+    once: ``kleene_masks`` starts its true mask at o and only ANDs into
+    it, so ``kleene_masks(m, m)[0] == m`` puts m inside o.  The walk
+    m -> ((m | ~o) + 1) & o visits them in ascending order from 0 and
+    ends with o itself.
+    """
     _check_enumerable(ctx, budget)
-    return [BeliefState(ctx.vocabulary, m) for m in range(ctx.vocabulary.full_mask + 1)
-            if ctx.kleene_masks(m, m)[0] == m]
+    o, m, found = ctx.objective_mask, 0, []
+    while True:
+        if ctx.kleene_masks(m, m)[0] == m:
+            found.append(BeliefState(ctx.vocabulary, m))
+        if m == o:
+            return found
+        m = ((m | ~o) + 1) & o
 
 
-def brute_stable(ctx: OperatorContext, budget: OracleBudget = OracleBudget()) -> list[BeliefState]:
-    """Every subset of worlds reproduced by its own stable revision."""
-    _check_enumerable(ctx, budget)
-    return [BeliefState(ctx.vocabulary, m) for m in range(ctx.vocabulary.full_mask + 1)
-            if revise_masks(ctx, m) == m]
+def brute_stable(ctx: OperatorContext, expansions: list[BeliefState]) -> list[BeliefState]:
+    """The members of ``expansions``, the list ``brute_expansions(ctx)``
+    returned, that their own stable revision reproduces.
+
+    Every stable extension is among them.  If ``revise_masks(ctx, m)``
+    returns m, its run ended at z = m, so no world of m is false at
+    (m, m).  Every other world was removed at some (z, m) with z
+    containing m, and evaluation is precision-monotone under both
+    truth functions, so it is false at the more precise (m, m) too.  At
+    an exact pair ``sv`` and ``kleene`` agree and are two-valued, so m
+    is ``kleene_masks(m, m)[0]``: an expansion.
+    """
+    return [b for b in expansions if revise_masks(ctx, b.mask) == b.mask]
 
 
 def algebraic_wf(ctx: OperatorContext, budget: OracleBudget = OracleBudget()) -> PartialBeliefState:

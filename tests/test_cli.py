@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import os
@@ -562,6 +563,27 @@ def test_check_detects_an_injected_search_bound_bug(corpus, monkeypatch):
     assert run_check(corpus / "truthsayer.ael", out=buf) == 4
     out = buf.getvalue()
     assert "expansions: fast 1 != brute 2" in out and "DISAGREEMENT" in out
+
+
+def test_check_detects_a_dropped_stable_extension(corpus, monkeypatch):
+    # Corrupt the fast stable route only: it loses its first extension,
+    # and the brute-force oracle still finds both of the mutual defaults.
+    real = nmr.cli.stable_extensions
+    monkeypatch.setattr(nmr.cli, "stable_extensions", lambda ctx: dataclasses.replace(
+        real(ctx), results=real(ctx).results[1:]))
+    buf = io.StringIO()
+    assert run_check(corpus / "mutual_defaults.ael", out=buf) == 4
+    assert "stable: fast 1 != brute 2" in buf.getvalue().splitlines()
+
+
+def test_check_detects_a_stable_revision_that_keeps_every_expansion(corpus, monkeypatch):
+    # Corrupt the fast stable route only: every expansion passes its
+    # revision.  The truth sayer has two expansions and one stable
+    # extension, and the brute-force oracle revises on its own.
+    monkeypatch.setattr(nmr.semantics, "stable_revision", lambda ctx, b, log=None: b)
+    buf = io.StringIO()
+    assert run_check(corpus / "truthsayer.ael", out=buf) == 4
+    assert "stable: fast 2 != brute 1" in buf.getvalue().splitlines()
 
 
 def test_check_marks_exactly_the_lines_whose_lists_differ(tmp_path):

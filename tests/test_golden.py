@@ -4,8 +4,8 @@
 code and stdout of ``nmr solve`` under every semantics and truth
 function in human, ``--json`` and ``--json --trace`` form, and of
 ``nmr check`` under its default truth function and, on files of at
-most ``SV_CHECK_ATOMS`` atoms, under ``--truth sv`` (its oracles test
-all 2^16 world sets of a 4-atom file, about a second per file).
+most ``SV_CHECK_ATOMS`` atoms, under ``--truth sv`` (the oracles refuse a
+larger file under either truth function).
 Any change to what the command line prints for these inputs fails here.
 
 Regenerate the snapshots (only for an intended output change) with::

@@ -174,8 +174,9 @@ def test_candidates_are_exactly_the_brute_force_expansions():
             t = konolige(rand_default_theory(rng, atoms))
         for truth in TruthFunctionKind:
             ctx = OperatorContext(t, truth)
-            assert expansion_candidates(ctx) == brute_expansions(ctx), (t, truth)
-            assert stable_extensions(ctx).belief_states() == brute_stable(ctx), (t, truth)
+            brute_exp = brute_expansions(ctx)
+            assert expansion_candidates(ctx) == brute_exp, (t, truth)
+            assert stable_extensions(ctx).belief_states() == brute_stable(ctx, brute_exp), (t, truth)
             cases += 1
     assert cases == 3000
 
